@@ -5,125 +5,10 @@ compare the results bit for bit, explain any difference as a recursive
 tree, classify its root cause, strip the usual nondeterminism from
 containers, and exchange signed attestations whose majority decides what
 to trust.
-"""
 
-from .attestation import (
-    Attestation,
-    ChecksumEntry,
-    DependencyPin,
-    SignedAttestation,
-    compute_checksums,
-    generate_signing_key,
-    key_fingerprint,
-    make_attestation,
-    parse_buildinfo,
-    parse_signed,
-    public_key_for,
-    serialize_buildinfo,
-    serialize_signed,
-    sign_attestation,
-    validate_attestation,
-    verify_signature,
-)
-from .classify import (
-    Confidence,
-    RootCause,
-    RootCauseFinding,
-    classify,
-    findings_to_json,
-    primary_finding,
-    shannon_entropy,
-)
-from .compare import (
-    ByteRange,
-    ByteRanges,
-    DiffNode,
-    Format,
-    MetaDiff,
-    ReportStyle,
-    Status,
-    TextDiff,
-    byte_ranges,
-    compare_bytes,
-    compare_files,
-    detect_format,
-    node_to_json,
-    render_report,
-    unpack,
-)
-from .consensus import (
-    AttestationStore,
-    ConsensusTally,
-    Decision,
-    Verdict,
-    verdict,
-)
-from .errors import (
-    FixtureError,
-    FormatError,
-    ParseError,
-    ReproError,
-    StoreError,
-    StructuralError,
-    ValidationError,
-)
-from .fixtures import (
-    ALL_KINDS,
-    DESIGNED_CAUSES,
-    FixtureKind,
-    generate_all,
-    generate_fixture,
-    kind_from_token,
-    remediate_fixture,
-)
-from .formats import (
-    GzipStream,
-    Member,
-    parse_gzip,
-    parse_tar,
-    parse_zip,
-    parse_zip_with_errors,
-    write_gzip,
-    write_tar,
-    write_zip,
-)
-from .normalize import (
-    NormalizePolicy,
-    normalize_auto,
-    normalize_bytes,
-    normalize_gzip,
-    normalize_tar,
-    normalize_zip,
-    policy_from_env,
-)
-from .runner import (
-    BuildResult,
-    ReproVerdict,
-    SourceMeta,
-    attest_build,
-    double_build,
-    parse_meta,
-    run_build,
-)
-from .varenv import (
-    BASE_EPOCH,
-    CLOCK_SKEW_SECONDS,
-    BuildRequest,
-    Forward,
-    FsOrdering,
-    PreparedBuild,
-    Reverse,
-    Shuffled,
-    VariationProfile,
-    apply_profile,
-    default_profiles,
-    deterministic_shuffle,
-    load_profile,
-    make_profile,
-    materialize_env,
-    ordered_entries,
-    ordering_from_token,
-    validate_request,
-)
+The API lives in the submodules (``reprokit.runner``, ``reprokit.compare``,
+``reprokit.normalize`` and so on); this package root exports only
+``__version__``.
+"""
 
 __version__ = "0.1.0"

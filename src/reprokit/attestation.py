@@ -186,6 +186,21 @@ def validate_attestation(att: Attestation) -> None:
         prev = key
 
 
+def checksum_file(path: Path | str) -> ChecksumEntry:
+    """Size, SHA-1 and SHA-256 of one artifact file, under its basename."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as err:
+        raise OSError(f"cannot read artifact file {path}: {err}") from err
+    return ChecksumEntry(
+        filename=path.name,
+        size=len(data),
+        sha1=hashlib.sha1(data).hexdigest(),
+        sha256=hashlib.sha256(data).hexdigest(),
+    )
+
+
 def compute_checksums(artifact_dir: Path | str) -> tuple[ChecksumEntry, ...]:
     """Hash every regular file in a flat artifact directory.
 
@@ -201,18 +216,7 @@ def compute_checksums(artifact_dir: Path | str) -> tuple[ChecksumEntry, ...]:
             raise StructuralError(f"symlink not allowed in artifact dir: {child.name}")
         if child.is_dir():
             raise StructuralError(f"subdirectory not allowed in artifact dir: {child.name}")
-        try:
-            data = child.read_bytes()
-        except OSError as err:
-            raise OSError(f"cannot read artifact file {child}: {err}") from err
-        entries.append(
-            ChecksumEntry(
-                filename=child.name,
-                size=len(data),
-                sha1=hashlib.sha1(data).hexdigest(),
-                sha256=hashlib.sha256(data).hexdigest(),
-            )
-        )
+        entries.append(checksum_file(child))
     return tuple(entries)
 
 

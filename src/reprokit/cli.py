@@ -16,15 +16,14 @@ verifier can itself be verified.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import html
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
 
 from .attestation import (
+    checksum_file,
     generate_signing_key,
     key_fingerprint,
     parse_buildinfo,
@@ -47,7 +46,7 @@ from .compare import (
 from .consensus import AttestationStore, Decision, verdict
 from .errors import ReproError, ValidationError
 from .fixtures import ALL_KINDS, generate_all, generate_fixture, kind_from_token, remediate_fixture
-from .normalize import NormalizePolicy, normalize_auto
+from .normalize import NormalizePolicy, normalize_auto, policy_from_env
 from .runner import META_FILENAME, ReproVerdict, attest_build, double_build, parse_meta, run_build
 from .varenv import BuildRequest, apply_profile, default_profiles, load_profile
 
@@ -195,16 +194,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    if args.epoch is not None:
-        epoch = args.epoch
-    else:
-        raw = os.environ.get("SOURCE_DATE_EPOCH", "0")
-        try:
-            epoch = int(raw)
-        except ValueError:
-            raise ValidationError(f"SOURCE_DATE_EPOCH is not an integer: {raw!r}") from None
     policy = NormalizePolicy(
-        epoch=epoch,
+        epoch=args.epoch if args.epoch is not None else policy_from_env().epoch,
         zero_ownership=not args.keep_owners,
         sort_members=not args.no_sort,
     )
@@ -252,7 +243,7 @@ def cmd_attest(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    data = Path(args.artifact).read_bytes()
+    observed = checksum_file(args.artifact)
     signed = parse_signed(Path(args.attestation).read_bytes())
     att = parse_buildinfo(signed.body)
 
@@ -266,17 +257,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return 1
         print("signature: ok")
 
-    name = Path(args.artifact).name
+    name = observed.filename
     entry = att.checksum_for(name)
     if entry is None:
         print(f"mismatch: {name} is not listed in the attestation")
         return 1
-    observed = (
-        len(data),
-        hashlib.sha1(data).hexdigest(),
-        hashlib.sha256(data).hexdigest(),
-    )
-    if observed != (entry.size, entry.sha1, entry.sha256):
+    if observed != entry:
         print(f"mismatch: {name} does not match the attested checksums")
         return 1
     print(f"verified: {name} matches the attestation")

@@ -157,20 +157,39 @@ def _tar_text_field(value: str, width: int, what: str) -> bytes:
     return raw + b"\x00" * (width - len(raw))
 
 
+def _tar_split_name(name: str) -> tuple[bytes, bytes]:
+    """Split a path into the ustar (prefix, name) fields at the first ``/``
+    that fits both, as stdlib ``tarfile`` does; names of up to 100 bytes stay
+    whole. The prefix may not be empty, since the parser ignores an empty one;
+    the name may, for a directory whose last component went to the prefix.
+    """
+    raw = name.encode("utf-8")
+    if 0 < len(raw) <= 100:
+        return b"", raw
+    cut = raw.find(b"/", 1)
+    while 0 < cut <= 155:
+        if len(raw) - cut - 1 <= 100:
+            return raw[:cut], raw[cut + 1:]
+        cut = raw.find(b"/", cut + 1)
+    raise ValidationError(
+        f"tar member name must be 1..100 bytes or split at a '/' into "
+        f"a prefix of at most 155 and a name of at most 100: {name!r}"
+    )
+
+
 def write_tar(members: list[Member]) -> bytes:
     """Emit a canonical ustar archive: fixed field encodings, minimal padding.
 
-    Directory names gain a trailing slash if missing; names longer than 100
-    bytes are rejected rather than split into the prefix field.
+    Directory names gain a trailing slash if missing. A name longer than 100
+    bytes is split at a ``/`` into the prefix field (at most 155 bytes) and
+    the name field (at most 100 bytes); one with no such split is rejected.
     """
     chunks: list[bytes] = []
     for m in members:
         name = m.name
         if m.is_dir and not name.endswith("/"):
             name += "/"
-        name_raw = name.encode("utf-8")
-        if not name_raw or len(name_raw) > 100:
-            raise ValidationError(f"tar member name must be 1..100 bytes: {m.name!r}")
+        prefix_raw, name_raw = _tar_split_name(name)
         if m.is_dir and m.content:
             raise ValidationError(f"directory member {m.name!r} must have empty content")
         default_mode = 0o755 if m.is_dir else 0o644
@@ -190,7 +209,7 @@ def write_tar(members: list[Member]) -> bytes:
                 _tar_text_field(m.gname or "root", 32, "gname"),
                 _tar_number_field(0, 8, "devmajor"),
                 _tar_number_field(0, 8, "devminor"),
-                b"\x00" * 155,
+                prefix_raw + b"\x00" * (155 - len(prefix_raw)),
             ]
         )
         header = header + b"\x00" * (TAR_BLOCK - len(header))

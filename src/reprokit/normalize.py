@@ -78,34 +78,6 @@ def _scrub(member: Member, policy: NormalizePolicy, content: bytes) -> Member:
     return Member(name=member.name, content=content, is_dir=member.is_dir, **scrubbed)
 
 
-def _finalize(members: list[Member], policy: NormalizePolicy) -> list[Member]:
-    if policy.sort_members:
-        return sorted(members, key=lambda m: m.name.encode())
-    return members
-
-
-def normalize_tar(data: bytes, policy: NormalizePolicy) -> bytes:
-    """One container level: clamp, zero ownership, sort; contents untouched."""
-    members = [_scrub(m, policy, m.content) for m in parse_tar(data)]
-    return write_tar(_finalize(members, policy))
-
-
-def normalize_gzip(data: bytes, policy: NormalizePolicy) -> bytes:
-    """Clamp the header timestamp, drop the stored name, recompress."""
-    gs = parse_gzip(data)
-    filename = None if policy.strip_names else gs.filename
-    return write_gzip(gs.payload, mtime=min(gs.mtime, policy.epoch), filename=filename)
-
-
-def normalize_zip(data: bytes, policy: NormalizePolicy) -> bytes:
-    """Clamp DOS timestamps, canonicalize modes, strip extras, sort."""
-    parsed, errors = parse_zip_with_errors(data)
-    if errors:
-        raise FormatError("cannot normalize: " + "; ".join(errors))
-    members = [_scrub(m, policy, m.content) for m in parsed]
-    return write_zip(_finalize(members, policy))
-
-
 def normalize_bytes(data: bytes, policy: NormalizePolicy, _depth: int = 0) -> bytes:
     """Normalize recursively: inner archives are normalized before their
     containers are re-emitted. Non-containers pass through unchanged, as do
@@ -114,42 +86,41 @@ def normalize_bytes(data: bytes, policy: NormalizePolicy, _depth: int = 0) -> by
     fmt = detect_format(data)
     if fmt not in (Format.GZIP, Format.TAR, Format.ZIP):
         return data
-    if _depth > 0:
-        try:
-            return _normalize_container(data, fmt, policy, _depth)
-        except FormatError:
-            return data
-    return _normalize_container(data, fmt, policy, _depth)
-
-
-def _descend(member: Member, policy: NormalizePolicy, depth: int) -> bytes:
-    if member.is_dir or depth >= MAX_NESTING:
-        return member.content
-    return normalize_bytes(member.content, policy, depth + 1)
+    try:
+        return _normalize_container(data, fmt, policy, _depth)
+    except FormatError:
+        if _depth == 0:
+            raise
+        return data
 
 
 def _normalize_container(
     data: bytes, fmt: Format, policy: NormalizePolicy, depth: int
 ) -> bytes:
+    """One container level: parse, normalize the contents below ``MAX_NESTING``,
+    scrub the metadata, sort members, and re-emit through the canonical writer.
+    """
+    descend = depth < MAX_NESTING
     if fmt is Format.GZIP:
         gs = parse_gzip(data)
-        payload = (
-            normalize_bytes(gs.payload, policy, depth + 1)
-            if depth < MAX_NESTING
-            else gs.payload
-        )
+        payload = normalize_bytes(gs.payload, policy, depth + 1) if descend else gs.payload
         filename = None if policy.strip_names else gs.filename
         return write_gzip(payload, mtime=min(gs.mtime, policy.epoch), filename=filename)
     if fmt is Format.TAR:
-        members = [
-            _scrub(m, policy, _descend(m, policy, depth)) for m in parse_tar(data)
-        ]
-        return write_tar(_finalize(members, policy))
-    parsed, errors = parse_zip_with_errors(data)
-    if errors:
-        raise FormatError("cannot normalize: " + "; ".join(errors))
-    members = [_scrub(m, policy, _descend(m, policy, depth)) for m in parsed]
-    return write_zip(_finalize(members, policy))
+        parsed, write = parse_tar(data), write_tar
+    else:
+        parsed, errors = parse_zip_with_errors(data)
+        if errors:
+            raise FormatError("cannot normalize: " + "; ".join(errors))
+        write = write_zip
+    members = [
+        _scrub(m, policy, normalize_bytes(m.content, policy, depth + 1)
+               if descend and not m.is_dir else m.content)
+        for m in parsed
+    ]
+    if policy.sort_members:
+        members.sort(key=lambda m: m.name.encode())
+    return write(members)
 
 
 def normalize_auto(path: Path | str, policy: NormalizePolicy) -> bytes:

@@ -178,6 +178,16 @@ def test_normalize_epoch_from_environment(tmp_path, capsys, monkeypatch):
     assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
 
 
+def test_normalize_epoch_flag_wins_over_environment(tmp_path, capsys, monkeypatch):
+    raw = write_tar([Member(name="f", content=b"x", mtime=8_000_000_000)])
+    archive = tmp_path / "a.tar"
+    archive.write_bytes(raw)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "garbage")
+    assert cli.main(["normalize", "--epoch", "100", str(archive)]) == 0
+    assert capsys.readouterr().err == ""
+    assert parse_tar((tmp_path / "a.tar.norm").read_bytes())[0].mtime == 100
+
+
 def test_attest_verify_round_trip(tmp_path, capsys):
     generate_fixture(FixtureKind.CONTROL, tmp_path / "src")
     key = tmp_path / "builder.key"
@@ -233,6 +243,52 @@ def test_verify_wrong_public_key(tmp_path, capsys):
     ])
     assert code == 1
     assert "fingerprint" in capsys.readouterr().out
+
+
+def attest_one_file(tmp_path, artifact: Path) -> Path:
+    """Sign an attestation that lists only ``artifact``, hashed independently."""
+    from reprokit.attestation import (
+        ChecksumEntry, generate_signing_key, make_attestation,
+        serialize_signed, sign_attestation,
+    )
+
+    data = artifact.read_bytes()
+    entry = ChecksumEntry(
+        filename=artifact.name, size=len(data),
+        sha1=hashlib.sha1(data).hexdigest(), sha256=hashlib.sha256(data).hexdigest(),
+    )
+    att = make_attestation(
+        source="demo", version="1.0", architecture="all", checksums=[entry],
+        depends=[], environment={}, builder_id="rebuilder-01",
+    )
+    private_key, _ = generate_signing_key()
+    signed_path = tmp_path / "att.signed"
+    signed_path.write_bytes(serialize_signed(sign_attestation(att, private_key)))
+    return signed_path
+
+
+def test_verify_artifact_not_listed(tmp_path, capsys):
+    listed = tmp_path / "pkg.deb"
+    listed.write_bytes(b"payload\n")
+    signed_path = attest_one_file(tmp_path, listed)
+    assert cli.main(["verify", str(listed), "--attestation", str(signed_path)]) == 0
+    assert capsys.readouterr().out == "verified: pkg.deb matches the attestation\n"
+
+    other = tmp_path / "other.deb"
+    other.write_bytes(b"payload\n")
+    assert cli.main(["verify", str(other), "--attestation", str(signed_path)]) == 1
+    assert capsys.readouterr().out == "mismatch: other.deb is not listed in the attestation\n"
+
+
+def test_verify_missing_artifact_file(tmp_path, capsys):
+    listed = tmp_path / "pkg.deb"
+    listed.write_bytes(b"payload\n")
+    signed_path = attest_one_file(tmp_path, listed)
+    listed.unlink()
+    assert cli.main(["verify", str(listed), "--attestation", str(signed_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_attest_build_failure(tmp_path, capsys):

@@ -17,7 +17,7 @@ from reprokit.fixtures import (
     remediate_fixture,
 )
 from reprokit.formats import parse_tar, write_tar
-from reprokit.normalize import NormalizePolicy, normalize_tar
+from reprokit.normalize import NormalizePolicy, normalize_bytes
 from reprokit.runner import META_FILENAME, double_build, parse_meta
 
 
@@ -102,7 +102,7 @@ def test_remediated_archive_metadata_matches_normalize(tmp_path):
     fixed_verdict = double_build(req, staging_root=tmp_path / "stage2")
     assert fixed_verdict.reproducible is True
     fixed = (fixed_verdict.second.artifacts / "dist.tar").read_bytes()
-    assert fixed == normalize_tar(raw, NormalizePolicy(epoch=0))
+    assert fixed == normalize_bytes(raw, NormalizePolicy(epoch=0))
 
 
 def test_remediate_control_is_a_no_op_for_outputs(tmp_path):

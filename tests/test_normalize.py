@@ -17,9 +17,6 @@ from reprokit.normalize import (
     NormalizePolicy,
     normalize_auto,
     normalize_bytes,
-    normalize_gzip,
-    normalize_tar,
-    normalize_zip,
     policy_from_env,
 )
 
@@ -64,7 +61,7 @@ def test_tar_convergence_across_environments():
         for n, d in reversed(files)
     ])
     assert one != two
-    na, nb = normalize_tar(one, POLICY), normalize_tar(two, POLICY)
+    na, nb = normalize_bytes(one, POLICY), normalize_bytes(two, POLICY)
     assert na == nb
     members = parse_tar(na)
     assert [m.name for m in members] == ["a.txt", "z.txt"]
@@ -77,7 +74,7 @@ def test_tar_normalized_output_readable_by_stdlib():
         ("d", None, 1_700_000_000, 1000, 100, "alice", "users", 0o775),
         ("d/f.bin", b"\x00\x01", 1_700_000_000, 1000, 100, "alice", "users", 0o640),
     ])
-    out = normalize_tar(raw, POLICY)
+    out = normalize_bytes(raw, POLICY)
     with tarfile.open(fileobj=io.BytesIO(out)) as tf:
         d, f = tf.getmembers()
         assert d.isdir() and d.mode == 0o755
@@ -88,15 +85,15 @@ def test_tar_normalized_output_readable_by_stdlib():
 
 def test_clamp_never_moves_timestamps_forward():
     old = stdlib_tar([("a", b"x", 5, 0, 0, "root", "root", 0o644)])
-    assert parse_tar(normalize_tar(old, POLICY))[0].mtime == 5
+    assert parse_tar(normalize_bytes(old, POLICY))[0].mtime == 5
     new = stdlib_tar([("a", b"x", EPOCH + 999, 0, 0, "root", "root", 0o644)])
-    assert parse_tar(normalize_tar(new, POLICY))[0].mtime == EPOCH
+    assert parse_tar(normalize_bytes(new, POLICY))[0].mtime == EPOCH
 
 
 def test_keep_owners_policy():
     raw = stdlib_tar([("a", b"x", 50, 1234, 60, "alice", "users", 0o640)])
     policy = NormalizePolicy(epoch=EPOCH, zero_ownership=False)
-    m = parse_tar(normalize_tar(raw, policy))[0]
+    m = parse_tar(normalize_bytes(raw, policy))[0]
     assert (m.uid, m.gid, m.uname, m.gname, m.mode) == (1234, 60, "alice", "users", 0o640)
     assert m.mtime == 50
 
@@ -107,8 +104,8 @@ def test_no_sort_policy_keeps_order():
         ("a", b"2", 0, 0, 0, "root", "root", 0o644),
     ])
     policy = NormalizePolicy(epoch=EPOCH, sort_members=False)
-    assert [m.name for m in parse_tar(normalize_tar(raw, policy))] == ["z", "a"]
-    assert [m.name for m in parse_tar(normalize_tar(raw, POLICY))] == ["a", "z"]
+    assert [m.name for m in parse_tar(normalize_bytes(raw, policy))] == ["z", "a"]
+    assert [m.name for m in parse_tar(normalize_bytes(raw, POLICY))] == ["a", "z"]
 
 
 def test_gzip_convergence_and_name_stripping():
@@ -121,7 +118,7 @@ def test_gzip_convergence_and_name_stripping():
     with gzip_mod.GzipFile("orig-name.tar", "wb", fileobj=buf, mtime=1_650_000_000) as gz:
         gz.write(payload)
     variants.append(buf.getvalue())
-    outs = {normalize_gzip(v, POLICY) for v in variants}
+    outs = {normalize_bytes(v, POLICY) for v in variants}
     assert len(outs) == 1
     gs = parse_gzip(outs.pop())
     assert gs.payload == payload
@@ -132,7 +129,7 @@ def test_gzip_convergence_and_name_stripping():
 def test_gzip_keep_name_policy():
     raw = write_gzip(b"x", mtime=0, filename="keep.me")
     policy = NormalizePolicy(epoch=EPOCH, strip_names=False)
-    assert parse_gzip(normalize_gzip(raw, policy)).filename == "keep.me"
+    assert parse_gzip(normalize_bytes(raw, policy)).filename == "keep.me"
 
 
 def test_zip_convergence_across_environments():
@@ -144,7 +141,7 @@ def test_zip_convergence_across_environments():
         (n, d, (2022, 1, 2, 3, 4, 6), 0o600, zipfile.ZIP_STORED)
         for n, d in reversed(files)
     ])
-    na, nb = normalize_zip(one, POLICY), normalize_zip(two, POLICY)
+    na, nb = normalize_bytes(one, POLICY), normalize_bytes(two, POLICY)
     assert na == nb
     members = parse_zip(na)
     assert [m.name for m in members] == ["a.txt", "b.txt"]
@@ -155,7 +152,7 @@ def test_zip_unsupported_method_refuses():
     raw = stdlib_zip([("p", b"squeeze this payload until it stores", (2020, 1, 1, 0, 0, 0),
                        0o644, zipfile.ZIP_BZIP2)])
     with pytest.raises(FormatError) as err:
-        normalize_zip(raw, POLICY)
+        normalize_bytes(raw, POLICY)
     assert "cannot normalize" in str(err.value)
 
 
@@ -172,6 +169,22 @@ def test_normalize_bytes_descends_into_nested_containers():
     assert gs.mtime == EPOCH
     (m,) = parse_tar(gs.payload)
     assert (m.uid, m.uname, m.mode, m.mtime) == (0, "root", 0o644, EPOCH)
+
+
+def test_prefix_field_names_normalize_and_read_back():
+    name = "d" * 60 + "/" + "f" * 60  # 121 bytes: stdlib puts "d"*60 in the prefix field
+    # A 121-byte directory name ("e"*120 + "/") leaves the name field empty.
+    raw = stdlib_tar([
+        (name, b"long\n", 1_700_000_000, 7, 7, "u", "g", 0o600),
+        ("e" * 120, None, 1_700_000_000, 7, 7, "u", "g", 0o700),
+    ])
+    assert raw[345:405] == b"d" * 60
+    for out in (normalize_bytes(raw, POLICY),
+                parse_gzip(normalize_bytes(gzip_mod.compress(raw, mtime=5), POLICY)).payload):
+        with tarfile.open(fileobj=io.BytesIO(out)) as tf:
+            assert tf.getnames() == [name, "e" * 120]
+            assert tf.extractfile(name).read() == b"long\n"
+        assert [m.name for m in parse_tar(out)] == [name, "e" * 120 + "/"]
 
 
 def test_normalize_bytes_idempotent():
@@ -253,6 +266,6 @@ def test_random_convergence_same_logical_content():
                  rng.choice([0o600, 0o640, 0o664, 0o755]))
                 for n, d in order
             ]))
-        outs = {normalize_tar(r, POLICY) for r in raws}
+        outs = {normalize_bytes(r, POLICY) for r in raws}
         assert len(outs) == 1
         assert [m.content for m in parse_tar(outs.pop())] == [d for _, d in files]
