@@ -46,6 +46,8 @@ _LIST_FIELDS = {"Checksums-Sha1", "Checksums-Sha256", "Installed-Build-Depends",
 
 _SIGNATURE_MARKER = b"-----SIGNATURE-----\n"
 
+_HASH_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class ChecksumEntry:
@@ -187,17 +189,26 @@ def validate_attestation(att: Attestation) -> None:
 
 
 def checksum_file(path: Path | str) -> ChecksumEntry:
-    """Size, SHA-1 and SHA-256 of one artifact file, under its basename."""
+    """Size, SHA-1 and SHA-256 of one artifact file, under its basename.
+
+    The file is read in chunks of ``_HASH_CHUNK`` bytes, so memory stays
+    bounded whatever the artifact's size.
+    """
     path = Path(path)
+    sha1, sha256, size = hashlib.sha1(), hashlib.sha256(), 0
     try:
-        data = path.read_bytes()
+        with path.open("rb") as f:
+            while chunk := f.read(_HASH_CHUNK):
+                sha1.update(chunk)
+                sha256.update(chunk)
+                size += len(chunk)
     except OSError as err:
         raise OSError(f"cannot read artifact file {path}: {err}") from err
     return ChecksumEntry(
         filename=path.name,
-        size=len(data),
-        sha1=hashlib.sha1(data).hexdigest(),
-        sha256=hashlib.sha256(data).hexdigest(),
+        size=size,
+        sha1=sha1.hexdigest(),
+        sha256=sha256.hexdigest(),
     )
 
 

@@ -108,12 +108,6 @@ _TZ_ABBREVS = {
 _WORD = re.compile(r"[^\W\d_]+", re.UNICODE)
 
 
-def _minus_plus_text(hunks: tuple[str, ...]) -> tuple[str, str]:
-    minus = [line[1:] for line in hunks if line.startswith("-")]
-    plus = [line[1:] for line in hunks if line.startswith("+")]
-    return "\n".join(minus), "\n".join(plus)
-
-
 def _side_difference(first: set[str], second: set[str]) -> tuple[list[str], list[str]]:
     return sorted(first - second), sorted(second - first)
 
@@ -148,8 +142,6 @@ def _is_datelike(token: str, epochs: tuple[int, int]) -> bool:
 
 
 def _rule_archive_metadata(node: DiffNode) -> RootCauseFinding | None:
-    if not isinstance(node.detail, MetaDiff):
-        return None
     fields = {name for name, _, _ in node.detail.entries}
     if not fields or not fields <= _META_FIELD_NAMES:
         return None
@@ -164,10 +156,9 @@ def _rule_archive_metadata(node: DiffNode) -> RootCauseFinding | None:
     )
 
 
-def _rule_timestamp(node: DiffNode, epochs: tuple[int, int]) -> RootCauseFinding | None:
-    if not isinstance(node.detail, TextDiff):
-        return None
-    minus, plus = _minus_plus_text(node.detail.hunks)
+def _rule_timestamp(
+    node: DiffNode, minus: str, plus: str, epochs: tuple[int, int]
+) -> RootCauseFinding | None:
     only_minus, only_plus = _side_difference(
         _date_strings(minus, epochs), _date_strings(plus, epochs)
     )
@@ -184,10 +175,7 @@ def _rule_timestamp(node: DiffNode, epochs: tuple[int, int]) -> RootCauseFinding
     )
 
 
-def _rule_build_path(node: DiffNode) -> RootCauseFinding | None:
-    if not isinstance(node.detail, TextDiff):
-        return None
-    minus, plus = _minus_plus_text(node.detail.hunks)
+def _rule_build_path(node: DiffNode, minus: str, plus: str) -> RootCauseFinding | None:
     only_minus, only_plus = _side_difference(
         {m.group(0) for m in _ABS_PATH.finditer(minus)},
         {m.group(0) for m in _ABS_PATH.finditer(plus)},
@@ -204,21 +192,9 @@ def _rule_build_path(node: DiffNode) -> RootCauseFinding | None:
     return None
 
 
-def _rule_fs_ordering(node: DiffNode) -> RootCauseFinding | None:
-    if isinstance(node.detail, MetaDiff):
-        for name, first, second in node.detail.entries:
-            if name == "order":
-                return RootCauseFinding(
-                    cause=RootCause.FS_ORDERING,
-                    node_path=node.path,
-                    confidence=Confidence.HIGH,
-                    evidence=(first, second),
-                )
-        return None
-    if not isinstance(node.detail, TextDiff):
-        return None
-    minus_lines = [line[1:] for line in node.detail.hunks if line.startswith("-")]
-    plus_lines = [line[1:] for line in node.detail.hunks if line.startswith("+")]
+def _rule_fs_ordering(
+    node: DiffNode, minus_lines: list[str], plus_lines: list[str]
+) -> RootCauseFinding | None:
     if minus_lines and sorted(minus_lines) == sorted(plus_lines):
         return RootCauseFinding(
             cause=RootCause.FS_ORDERING,
@@ -229,6 +205,18 @@ def _rule_fs_ordering(node: DiffNode) -> RootCauseFinding | None:
     return None
 
 
+def _rule_container_order(node: DiffNode) -> RootCauseFinding | None:
+    for name, first, second in node.detail.entries:
+        if name == "order":
+            return RootCauseFinding(
+                cause=RootCause.FS_ORDERING,
+                node_path=node.path,
+                confidence=Confidence.HIGH,
+                evidence=(first, second),
+            )
+    return None
+
+
 def _locale_tokens(text: str) -> set[str]:
     tokens = {w.group(0).lower() for w in _WORD.finditer(text)}
     found = {t for t in tokens if t in _MONTH_DAY_WORDS or t in _TZ_ABBREVS}
@@ -236,10 +224,7 @@ def _locale_tokens(text: str) -> set[str]:
     return found
 
 
-def _rule_locale_timezone(node: DiffNode) -> RootCauseFinding | None:
-    if not isinstance(node.detail, TextDiff):
-        return None
-    minus, plus = _minus_plus_text(node.detail.hunks)
+def _rule_locale_timezone(node: DiffNode, minus: str, plus: str) -> RootCauseFinding | None:
     only_minus, only_plus = _side_difference(_locale_tokens(minus), _locale_tokens(plus))
     if not only_minus or not only_plus:
         return None
@@ -268,10 +253,9 @@ def _random_candidates(text: str, epochs: tuple[int, int]) -> set[str]:
     return out
 
 
-def _rule_randomness(node: DiffNode, epochs: tuple[int, int]) -> RootCauseFinding | None:
-    if not isinstance(node.detail, TextDiff):
-        return None
-    minus, plus = _minus_plus_text(node.detail.hunks)
+def _rule_randomness(
+    node: DiffNode, minus: str, plus: str, epochs: tuple[int, int]
+) -> RootCauseFinding | None:
     only_minus, only_plus = _side_difference(
         _random_candidates(minus, epochs), _random_candidates(plus, epochs)
     )
@@ -288,8 +272,6 @@ def _rule_randomness(node: DiffNode, epochs: tuple[int, int]) -> RootCauseFindin
 
 
 def _rule_uninitialized_memory(node: DiffNode) -> RootCauseFinding | None:
-    if not isinstance(node.detail, ByteRanges):
-        return None
     for r in node.detail.ranges:
         if r.first_zero != r.second_zero:
             return RootCauseFinding(
@@ -302,27 +284,41 @@ def _rule_uninitialized_memory(node: DiffNode) -> RootCauseFinding | None:
 
 
 def _classify_node(node: DiffNode, epochs: tuple[int, int]) -> RootCauseFinding:
-    finding = (
-        _rule_archive_metadata(node)
-        or _rule_timestamp(node, epochs)
-        or _rule_build_path(node)
-        or _rule_fs_ordering(node)
-        or _rule_locale_timezone(node)
-        or _rule_randomness(node, epochs)
-        or _rule_uninitialized_memory(node)
-    )
+    """The first rule that fires, in the order archive metadata, timestamp,
+    build path, fs ordering, locale or timezone, randomness, uninitialized
+    memory; each rule reads one kind of evidence.
+    """
+    detail = node.detail
+    finding: RootCauseFinding | None = None
+    evidence = ("", "")
+    if isinstance(detail, MetaDiff):
+        finding = _rule_archive_metadata(node) or _rule_container_order(node)
+    elif isinstance(detail, TextDiff):
+        minus_lines = [line[1:] for line in detail.hunks if line.startswith("-")]
+        plus_lines = [line[1:] for line in detail.hunks if line.startswith("+")]
+        # No pattern here matches across a line break and hunk lines hold
+        # none, so when one side's lines are a permutation of the other's the
+        # two sides have equal match sets and the timestamp and build-path
+        # rules, which fire on a set difference, cannot fire before this one.
+        finding = _rule_fs_ordering(node, minus_lines, plus_lines)
+        if finding is None:
+            minus, plus = "\n".join(minus_lines), "\n".join(plus_lines)
+            finding = (
+                _rule_timestamp(node, minus, plus, epochs)
+                or _rule_build_path(node, minus, plus)
+                or _rule_locale_timezone(node, minus, plus)
+                or _rule_randomness(node, minus, plus, epochs)
+            )
+            evidence = (minus[:120], plus[:120])
+    elif isinstance(detail, ByteRanges):
+        finding = _rule_uninitialized_memory(node)
+        if detail.ranges:
+            evidence = (
+                detail.ranges[0].first_hex or "(empty)",
+                detail.ranges[0].second_hex or "(empty)",
+            )
     if finding is not None:
         return finding
-    if isinstance(node.detail, TextDiff):
-        minus, plus = _minus_plus_text(node.detail.hunks)
-        evidence = (minus[:120], plus[:120])
-    elif isinstance(node.detail, ByteRanges) and node.detail.ranges:
-        evidence = (
-            node.detail.ranges[0].first_hex or "(empty)",
-            node.detail.ranges[0].second_hex or "(empty)",
-        )
-    else:
-        evidence = ("", "")
     return RootCauseFinding(
         cause=RootCause.UNKNOWN,
         node_path=node.path,

@@ -18,6 +18,7 @@ import difflib
 import enum
 import html
 import json
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -126,23 +127,85 @@ def unpack(data: bytes, fmt: Format) -> list[Member]:
 
 # -- byte-range localization ------------------------------------------------
 
+#: Inputs are compared in slices of at most this many bytes, so no step of
+#: the localization copies more than a block of either input.
+_BLOCK = 1 << 16
 
-def _all_zero(data: bytes) -> bool:
-    return len(data) > 0 and data.strip(b"\x00") == b""
+#: A run of equal bytes this long ends a cluster: in the XOR of two blocks
+#: it is a run of zero bytes.
+_RESYNC_GAP = bytes(_RESYNC_WINDOW)
+
+_NONZERO = re.compile(rb"[^\x00]")
+
+
+def _range_side(data: bytes, offset: int, length: int) -> tuple[str, bool]:
+    """Hex excerpt and all-zero flag of one side, without copying its span."""
+    end = offset + length
+    excerpt = data[offset:min(end, offset + _EXCERPT_BYTES)].hex()
+    return excerpt, length > 0 and data.count(0, offset, end) == length
 
 
 def _make_range(a: bytes, b: bytes, offset: int, la: int, lb: int) -> ByteRange:
-    span_a = a[offset:offset + la]
-    span_b = b[offset:offset + lb]
+    first_hex, first_zero = _range_side(a, offset, la)
+    second_hex, second_zero = _range_side(b, offset, lb)
     return ByteRange(
         offset=offset,
         len_first=la,
         len_second=lb,
-        first_hex=span_a[:_EXCERPT_BYTES].hex(),
-        second_hex=span_b[:_EXCERPT_BYTES].hex(),
-        first_zero=_all_zero(span_a),
-        second_zero=_all_zero(span_b),
+        first_hex=first_hex,
+        second_hex=second_hex,
+        first_zero=first_zero,
+        second_zero=second_zero,
     )
+
+
+def _differing_spans(a: bytes, b: bytes):
+    """Yield (start, end) of each differing stretch of two equal-length inputs.
+
+    Within one block, a stretch runs from a differing byte to just past the
+    last differing byte before the next run of ``_RESYNC_WINDOW`` equal
+    bytes; stretches of adjacent blocks are left to the caller to merge.
+    Blocks that compare equal are skipped whole. A differing block is XORed,
+    so equal bytes become zeros that ``bytes.find`` and a regex scan in C.
+    """
+    for start in range(0, len(a), _BLOCK):
+        block_a, block_b = a[start:start + _BLOCK], b[start:start + _BLOCK]
+        if block_a == block_b:
+            continue
+        xor = (
+            int.from_bytes(block_a, "little") ^ int.from_bytes(block_b, "little")
+        ).to_bytes(len(block_a), "little")
+        found = _NONZERO.search(xor)
+        while found:
+            gap = xor.find(_RESYNC_GAP, found.start())
+            if gap < 0:
+                yield start + found.start(), start + len(xor.rstrip(b"\x00"))
+                break
+            yield start + found.start(), start + gap
+            found = _NONZERO.search(xor, gap)
+
+
+def _common_length(same, limit: int) -> int:
+    """Length of the longest common run, at most ``limit``, counted from one
+    end of both inputs; ``same(n, k)`` compares the ``k`` bytes that follow
+    the first ``n`` from that end.
+    """
+    n = 0
+    while n < limit:
+        step = min(_BLOCK, limit - n)
+        if same(n, step):
+            n += step
+            continue
+        # The next step bytes hold a difference: halve them down to one byte.
+        while step > 1:
+            half = step // 2
+            if same(n, half):
+                n += half
+                step -= half
+            else:
+                step = half
+        break
+    return n
 
 
 def byte_ranges(a: bytes, b: bytes) -> ByteRanges:
@@ -156,27 +219,23 @@ def byte_ranges(a: bytes, b: bytes) -> ByteRanges:
         return ByteRanges(())
     if len(a) == len(b):
         clusters: list[list[int]] = []
-        for i, (x, y) in enumerate(zip(a, b)):
-            if x == y:
-                continue
-            if clusters and i - clusters[-1][1] < _RESYNC_WINDOW:
-                clusters[-1][1] = i + 1
+        for start, end in _differing_spans(a, b):
+            if clusters and start - clusters[-1][1] < _RESYNC_WINDOW:
+                clusters[-1][1] = end
             else:
-                clusters.append([i, i + 1])
+                clusters.append([start, end])
         if len(clusters) > _MAX_RANGES:
             clusters = [[clusters[0][0], clusters[-1][1]]]
         return ByteRanges(
             tuple(_make_range(a, b, s, e - s, e - s) for s, e in clusters)
         )
-    limit = min(len(a), len(b))
-    prefix = 0
-    while prefix < limit and a[prefix] == b[prefix]:
-        prefix += 1
-    suffix = 0
-    while suffix < limit - prefix and a[-1 - suffix] == b[-1 - suffix]:
-        suffix += 1
+    la, lb = len(a), len(b)
+    prefix = _common_length(lambda n, k: a[n:n + k] == b[n:n + k], min(la, lb))
+    suffix = _common_length(
+        lambda n, k: a[la - n - k:la - n] == b[lb - n - k:lb - n], min(la, lb) - prefix
+    )
     return ByteRanges(
-        (_make_range(a, b, prefix, len(a) - prefix - suffix, len(b) - prefix - suffix),)
+        (_make_range(a, b, prefix, la - prefix - suffix, lb - prefix - suffix),)
     )
 
 

@@ -151,9 +151,12 @@ def _tar_number_field(value: int, width: int, what: str) -> bytes:
 
 
 def _tar_text_field(value: str, width: int, what: str) -> bytes:
+    """A NUL-padded text field; a value of exactly ``width`` bytes fills it
+    with no terminator, as stdlib ``tarfile`` writes and ``parse_tar`` reads.
+    """
     raw = value.encode("utf-8")
-    if len(raw) >= width:
-        raise ValidationError(f"tar {what} {value!r} longer than {width - 1} bytes")
+    if len(raw) > width:
+        raise ValidationError(f"tar {what} {value!r} longer than {width} bytes")
     return raw + b"\x00" * (width - len(raw))
 
 

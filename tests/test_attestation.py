@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from reprokit.attestation import (
     Attestation,
     ChecksumEntry,
     DependencyPin,
+    checksum_file,
     compute_checksums,
     generate_signing_key,
     key_fingerprint,
@@ -93,6 +95,32 @@ def test_compute_checksums_empty_file_digests(tmp_path):
     assert entries == (
         ChecksumEntry(filename="a", size=0, sha1=EMPTY_SHA1, sha256=EMPTY_SHA256),
     )
+
+
+def test_checksum_file_streams_large_files(tmp_path):
+    data = random.Random(7).randbytes((16 << 20) + 123)
+    path = tmp_path / "big.deb"
+    path.write_bytes(data)
+    expected = ChecksumEntry(
+        filename="big.deb",
+        size=len(data),
+        sha1=hashlib.sha1(data).hexdigest(),
+        sha256=hashlib.sha256(data).hexdigest(),
+    )
+    del data
+    tracemalloc.start()
+    try:
+        entry = checksum_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert entry == expected
+    assert peak < 4 << 20
+
+
+def test_checksum_file_unreadable(tmp_path):
+    with pytest.raises(OSError, match="cannot read artifact file .*absent.deb"):
+        checksum_file(tmp_path / "absent.deb")
 
 
 def test_compute_checksums_sorted_by_filename(tmp_path):

@@ -5,16 +5,25 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reprokit.classify import (
+    _ABS_PATH,
+    _DEFAULT_EPOCHS,
     Confidence,
     RootCause,
+    RootCauseFinding,
+    _date_strings,
+    _locale_tokens,
+    _random_candidates,
+    _side_difference,
     classify,
     findings_to_json,
     primary_finding,
     shannon_entropy,
 )
-from reprokit.compare import compare_bytes
+from reprokit.compare import DiffNode, Format, Status, TextDiff, compare_bytes
 from reprokit.formats import Member, write_tar
 from reprokit.varenv import BASE_EPOCH, CLOCK_SKEW_SECONDS
 
@@ -248,3 +257,111 @@ def test_primary_finding_ordering():
     assert primary_finding(findings).confidence is Confidence.MEDIUM
     ts = classify(compare_bytes(b"at 2020-09-13\n", b"at 2022-03-15\n"))
     assert primary_finding(findings + ts).cause is RootCause.TIMESTAMP
+
+
+# -- the text rules against the chain they were first written as -------------
+
+
+def chain_classify_text(node: DiffNode, epochs: tuple[int, int]) -> RootCauseFinding:
+    """Reference: the text rules tried one after another in the documented
+    order (timestamp, build path, fs ordering, locale or timezone,
+    randomness), with no shortcut for permuted lines."""
+    minus_lines = [line[1:] for line in node.detail.hunks if line.startswith("-")]
+    plus_lines = [line[1:] for line in node.detail.hunks if line.startswith("+")]
+    minus, plus = "\n".join(minus_lines), "\n".join(plus_lines)
+
+    def found(cause: RootCause, evidence: tuple[str, str]) -> RootCauseFinding:
+        return RootCauseFinding(cause, node.path, Confidence.HIGH, evidence)
+
+    only_minus, only_plus = _side_difference(
+        _date_strings(minus, epochs), _date_strings(plus, epochs)
+    )
+    if only_minus or only_plus:
+        return found(RootCause.TIMESTAMP, (
+            only_minus[0] if only_minus else "", only_plus[0] if only_plus else ""))
+    only_minus, only_plus = _side_difference(
+        {m.group(0) for m in _ABS_PATH.finditer(minus)},
+        {m.group(0) for m in _ABS_PATH.finditer(plus)},
+    )
+    for path_a in only_minus:
+        for path_b in only_plus:
+            if path_a.rsplit("/", 1)[-1] == path_b.rsplit("/", 1)[-1]:
+                return found(RootCause.BUILD_PATH, (path_a, path_b))
+    if minus_lines and sorted(minus_lines) == sorted(plus_lines):
+        return found(RootCause.FS_ORDERING, (minus_lines[0], plus_lines[0]))
+    only_minus, only_plus = _side_difference(_locale_tokens(minus), _locale_tokens(plus))
+    if only_minus and only_plus:
+        return found(RootCause.LOCALE_OR_TIMEZONE, (only_minus[0], only_plus[0]))
+    only_minus, only_plus = _side_difference(
+        _random_candidates(minus, epochs), _random_candidates(plus, epochs)
+    )
+    for token_a in only_minus:
+        for token_b in only_plus:
+            if len(token_a) == len(token_b):
+                return found(RootCause.RANDOMNESS, (token_a, token_b))
+    return RootCauseFinding(
+        RootCause.UNKNOWN, node.path, Confidence.LOW, (minus[:120], plus[:120])
+    )
+
+
+#: Tokens by kind; an edit swaps a token for another of its kind.
+_KINDS = (
+    ("2021-03-09", "2021-03-09T12:30:45Z", "2022-01-01 00:00:00+01:00",
+     "Tue, 09 Mar 2021 12:30:45 +0000", "Tue Mar  9 12:30:45 2021", "Mar  9 2021",
+     str(BASE_EPOCH), str(BASE_EPOCH + CLOCK_SKEW_SECONDS), "1000000003"),
+    ("/build/first/src/main.c", "/build/second/src/main.c", "/tmp/x/src/main.c",
+     "/usr/lib/libz.so"),
+    ("a3f9c2e1b4d5f6a7", "9f86d081884c7d65", "Zm9vYmFyYmF6cXV4", "0123456789ab"),
+    ("March", "mars", "Montag", "UTC", "CEST", "+0100", "-05:00"),
+    ("alpha", "build", "ok", "=", ":", "", "123456789"),
+)
+
+_LINE = st.lists(st.sampled_from([token for kind in _KINDS for token in kind]), max_size=5)
+
+
+@st.composite
+def text_nodes(draw) -> DiffNode:
+    """A TextDiff whose ``+`` lines are the ``-`` lines shuffled or edited;
+    every ``-`` line ends in a token of one or two chosen kinds, and edits
+    swap such tokens."""
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=2, unique=True))
+    chosen = [token for kind in kinds for token in kind]
+    minus = draw(st.lists(
+        st.tuples(_LINE, st.sampled_from(chosen)).map(lambda t: [*t[0], t[1]]), max_size=8))
+    if draw(st.booleans()):
+        plus = draw(st.permutations(minus))
+    else:
+        plus = [list(line) for line in minus]
+        for _ in range(draw(st.integers(1, 3))):
+            edit = draw(st.sampled_from(["swap", "swap", "insert", "delete"]))
+            at = draw(st.integers(0, len(plus)))
+            spots = [(r, i) for r, line in enumerate(plus)
+                     for i, token in enumerate(line) if token in chosen]
+            if edit == "swap" and spots:
+                r, i = draw(st.sampled_from(spots))
+                kind = next(k for k in kinds if plus[r][i] in k)
+                plus[r][i] = draw(st.sampled_from([t for t in kind if t != plus[r][i]]))
+            elif edit == "delete" and at < len(plus):
+                del plus[at]
+            else:
+                plus.insert(at, draw(_LINE))
+    context = [" ".join(line) for line in draw(st.lists(_LINE, max_size=2))]
+    return _text_node([" ".join(line) for line in minus],
+                      [" ".join(line) for line in plus], context)
+
+
+def _text_node(minus: list[str], plus: list[str], context: list[str] = ()) -> DiffNode:
+    hunks = (f"@@ -1,{len(minus)} +1,{len(plus)} @@", *(" " + line for line in context),
+             *("-" + line for line in minus), *("+" + line for line in plus))
+    return DiffNode("t.txt", Format.TEXT, Status.DIFFERS, TextDiff(hunks))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text_nodes(), st.sampled_from([_DEFAULT_EPOCHS, (1_000_000_000, 1_000_000_005)]))
+@example(_text_node(["March a3f9c2e1b4d5f6a7"], ["mars 9f86d081884c7d65"]), _DEFAULT_EPOCHS)
+@example(_text_node(["/build/first/src/main.c March"], ["/tmp/x/src/main.c mars"]),
+         _DEFAULT_EPOCHS)
+@example(_text_node(["b 2021-03-09", "a 2021-03-09"], ["a 2021-03-09", "b 2021-03-09"]),
+         _DEFAULT_EPOCHS)
+def test_text_rules_match_the_rule_chain(node, epochs):
+    assert classify(node, epochs) == [chain_classify_text(node, epochs)]

@@ -8,11 +8,16 @@ import io
 import json
 import random
 import tarfile
+import tracemalloc
 import zipfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reprokit import compare
 from reprokit.compare import (
+    ByteRange,
     ByteRanges,
     Format,
     MetaDiff,
@@ -96,6 +101,144 @@ def test_byte_ranges_zero_flags():
     (r,) = byte_ranges(b"\x00" * 16 + b"!", b"\xcd" * 16 + b"!").ranges
     assert r.first_zero is True
     assert r.second_zero is False
+
+
+# -- byte_ranges against a per-byte walk ------------------------------------
+
+
+def _walk_all_zero(data: bytes) -> bool:
+    return len(data) > 0 and data.strip(b"\x00") == b""
+
+
+def _walk_range(a: bytes, b: bytes, offset: int, la: int, lb: int) -> ByteRange:
+    span_a = a[offset:offset + la]
+    span_b = b[offset:offset + lb]
+    return ByteRange(
+        offset=offset,
+        len_first=la,
+        len_second=lb,
+        first_hex=span_a[:64].hex(),
+        second_hex=span_b[:64].hex(),
+        first_zero=_walk_all_zero(span_a),
+        second_zero=_walk_all_zero(span_b),
+    )
+
+
+def walk_byte_ranges(a: bytes, b: bytes) -> ByteRanges:
+    """Reference: the same ranges, found one byte at a time."""
+    if a == b:
+        return ByteRanges(())
+    if len(a) == len(b):
+        clusters: list[list[int]] = []
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x == y:
+                continue
+            if clusters and i - clusters[-1][1] < 64:
+                clusters[-1][1] = i + 1
+            else:
+                clusters.append([i, i + 1])
+        if len(clusters) > 32:
+            clusters = [[clusters[0][0], clusters[-1][1]]]
+        return ByteRanges(tuple(_walk_range(a, b, s, e - s, e - s) for s, e in clusters))
+    limit = min(len(a), len(b))
+    prefix = 0
+    while prefix < limit and a[prefix] == b[prefix]:
+        prefix += 1
+    suffix = 0
+    while suffix < limit - prefix and a[-1 - suffix] == b[-1 - suffix]:
+        suffix += 1
+    return ByteRanges(
+        (_walk_range(a, b, prefix, len(a) - prefix - suffix, len(b) - prefix - suffix),)
+    )
+
+
+@st.composite
+def byte_pairs(draw):
+    """A block size to compare with and two inputs that differ around it:
+    scattered flips, combs of flips 63 to 67 bytes apart, flips at block
+    boundaries, zeroed spans, and insertions or deletions."""
+    block = draw(st.sampled_from([1, 2, 63, 64, 65, 200, compare._BLOCK]))
+    size = draw(st.integers(0, max(3 * block + 70, 4000)))
+    base = draw(st.sampled_from(["zero", "random", "cycle"]))
+    if base == "zero":
+        a = bytes(size)
+    elif base == "random":
+        a = random.Random(draw(st.integers(0, 9))).randbytes(size)
+    else:
+        a = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+    b = bytearray(a)
+
+    def position() -> int:
+        if draw(st.booleans()):
+            return draw(st.integers(0, max(size - 1, 0)))
+        near = draw(st.integers(0, size // block)) * block + draw(st.integers(-2, 2))
+        return min(max(near, 0), max(size - 1, 0))
+
+    for _ in range(draw(st.integers(0, 6)) if size else 0):
+        kind = draw(st.sampled_from(["flip", "comb", "zero"]))
+        start = position()
+        if kind == "flip":
+            b[start] ^= draw(st.integers(1, 255))
+        elif kind == "comb":
+            gap = draw(st.integers(62, 66))
+            for p in range(start, size, gap + 1)[:draw(st.integers(1, 40))]:
+                b[p] ^= 0xA5
+        else:
+            end = min(start + draw(st.integers(1, 200)), size)
+            b[start:end] = bytes(end - start)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, size))
+        if draw(st.booleans()):
+            b[at:at] = draw(st.binary(min_size=1, max_size=100))
+        else:
+            del b[at:at + draw(st.integers(1, 100))]
+    pair = (a, bytes(b))
+    return block, pair if draw(st.booleans()) else pair[::-1]
+
+
+def _comb(size: int, start: int, gap: int, count: int) -> tuple[bytes, bytes]:
+    """Zeros against zeros with ``count`` set bytes, ``gap`` equal bytes apart."""
+    b = bytearray(size)
+    for p in range(start, size, gap + 1)[:count]:
+        b[p] = 1
+    return bytes(size), bytes(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(byte_pairs())
+@example((200, _comb(600, 10, 63, 5)))
+@example((200, _comb(600, 10, 64, 5)))
+@example((200, _comb(600, 10, 65, 5)))
+@example((64, _comb(600, 60, 64, 5)))
+@example((compare._BLOCK, _comb(3 * compare._BLOCK, compare._BLOCK - 100, 64, 40)))
+@example((compare._BLOCK, (b"", bytes(100))))
+@example((1, (b"abc", b"")))
+@example((64, (bytes(300), bytes(100) + b"\x01" * 50 + bytes(150))))
+def test_byte_ranges_matches_per_byte_walk(case):
+    block, (a, b) = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compare, "_BLOCK", block)
+        assert byte_ranges(a, b) == walk_byte_ranges(a, b)
+
+
+@pytest.mark.parametrize("edit", ["insert", "flip"])
+def test_byte_ranges_memory_is_bounded(edit):
+    a = random.Random(11).randbytes(16 << 20)
+    mid = len(a) // 2
+    if edit == "insert":
+        b = a[:mid] + b"xyz" + a[mid:]
+    else:
+        b = a[:mid] + bytes([a[mid] ^ 1]) + a[mid + 1:]
+    tracemalloc.start()
+    try:
+        got = byte_ranges(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    (r,) = got.ranges
+    assert r.offset == mid
+    assert (r.len_first, r.len_second) == ((0, 3) if edit == "insert" else (1, 1))
 
 
 def test_compare_bytes_identical():

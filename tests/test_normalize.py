@@ -187,6 +187,20 @@ def test_prefix_field_names_normalize_and_read_back():
         assert [m.name for m in parse_tar(out)] == [name, "e" * 120 + "/"]
 
 
+def test_full_width_owner_names_normalize_and_read_back():
+    owner = "u" * 32  # stdlib fills the 32-byte ustar field with no NUL
+    raw = stdlib_tar([("f", b"x\n", 1_700_000_000, 7, 7, owner, owner, 0o644)])
+    assert raw[265:297] == owner.encode()
+    keep = NormalizePolicy(epoch=0, zero_ownership=False)
+    for out in (normalize_bytes(raw, keep),
+                parse_gzip(normalize_bytes(gzip_mod.compress(raw, mtime=5), keep)).payload):
+        with tarfile.open(fileobj=io.BytesIO(out)) as tf:
+            (info,) = tf.getmembers()
+            assert (info.uname, info.gname) == (owner, owner)
+    with pytest.raises(ValidationError, match="longer than 32 bytes"):
+        write_tar([Member(name="f", content=b"", uname="u" * 33)])
+
+
 def test_normalize_bytes_idempotent():
     inner = stdlib_tar([("f", b"x", 1_700_000_000, 5, 5, "u", "g", 0o755)])
     raw = gzip_mod.compress(inner, mtime=99)
