@@ -195,7 +195,11 @@ def _rule_build_path(node: DiffNode, minus: str, plus: str) -> RootCauseFinding 
 def _rule_fs_ordering(
     node: DiffNode, minus_lines: list[str], plus_lines: list[str]
 ) -> RootCauseFinding | None:
-    if minus_lines and sorted(minus_lines) == sorted(plus_lines):
+    # An ordering-only summary holds one moved line per side; hunks from
+    # elsewhere are tested for a permutation here.
+    if node.detail.ordering_only or (
+        minus_lines and sorted(minus_lines) == sorted(plus_lines)
+    ):
         return RootCauseFinding(
             cause=RootCause.FS_ORDERING,
             node_path=node.path,

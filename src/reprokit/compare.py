@@ -17,6 +17,7 @@ from __future__ import annotations
 import difflib
 import enum
 import html
+import itertools
 import json
 import re
 from collections.abc import Iterable
@@ -55,9 +56,16 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class TextDiff:
-    """Unified-diff hunks (the ``@@`` lines and their bodies, no file headers)."""
+    """Unified-diff hunks (the ``@@`` lines and their bodies, no file headers).
+
+    When the two texts hold the same lines in a different order,
+    ``ordering_only`` is set and the hunks are a fixed summary instead: an
+    ``@@ ordering differences only: N of M lines moved @@`` line, then the
+    two sides' lines at the first moved position as a ``-`` and a ``+`` line.
+    """
 
     hunks: tuple[str, ...]
+    ordering_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -208,12 +216,20 @@ def _common_length(same, limit: int) -> int:
     return n
 
 
+def _common_suffix(a: bytes, b: bytes, limit: int) -> int:
+    la, lb = len(a), len(b)
+    return _common_length(
+        lambda n, k: a[la - n - k:la - n] == b[lb - n - k:lb - n], limit
+    )
+
+
 def byte_ranges(a: bytes, b: bytes) -> ByteRanges:
     """Localize differing spans, symmetrically in the two inputs.
 
     Equal-length inputs get their differing positions clustered (gaps below
     the resync window merge); unequal lengths reduce to one range after
-    common prefix and suffix trimming.
+    common prefix and suffix trimming. More than ``_MAX_RANGES`` clusters
+    collapse into one range from the first differing byte to the last.
     """
     if a == b:
         return ByteRanges(())
@@ -222,18 +238,20 @@ def byte_ranges(a: bytes, b: bytes) -> ByteRanges:
         for start, end in _differing_spans(a, b):
             if clusters and start - clusters[-1][1] < _RESYNC_WINDOW:
                 clusters[-1][1] = end
-            else:
+            elif len(clusters) < _MAX_RANGES:
                 clusters.append([start, end])
-        if len(clusters) > _MAX_RANGES:
-            clusters = [[clusters[0][0], clusters[-1][1]]]
+            else:
+                # Clusters never merge back, so this one is past the cap: the
+                # collapsed range ends at the last differing byte, which a scan
+                # from the end finds without walking the spans in between.
+                clusters = [[clusters[0][0], len(a) - _common_suffix(a, b, len(a))]]
+                break
         return ByteRanges(
             tuple(_make_range(a, b, s, e - s, e - s) for s, e in clusters)
         )
     la, lb = len(a), len(b)
     prefix = _common_length(lambda n, k: a[n:n + k] == b[n:n + k], min(la, lb))
-    suffix = _common_length(
-        lambda n, k: a[la - n - k:la - n] == b[lb - n - k:lb - n], min(la, lb) - prefix
-    )
+    suffix = _common_suffix(a, b, min(la, lb) - prefix)
     return ByteRanges(
         (_make_range(a, b, prefix, la - prefix - suffix, lb - prefix - suffix),)
     )
@@ -242,15 +260,25 @@ def byte_ranges(a: bytes, b: bytes) -> ByteRanges:
 # -- tree construction ------------------------------------------------------
 
 
-def _text_lines(data: bytes) -> list[str]:
-    return data.decode("utf-8").splitlines()
+def _text_diff(a: bytes, b: bytes) -> TextDiff | None:
+    """Hunks of two texts, or None when their lines are equal.
 
-
-def _unified_hunks(a: bytes, b: bytes) -> tuple[str, ...]:
-    lines = difflib.unified_diff(
-        _text_lines(a), _text_lines(b), fromfile="first", tofile="second", lineterm=""
-    )
-    return tuple(line for line in lines if not line.startswith(("--- ", "+++ ")))
+    Lines that are a permutation of each other's skip ``difflib``, whose cost
+    and output grow with the number of moved lines, for a summary of the
+    first moved position.
+    """
+    lines_a = a.decode("utf-8").splitlines()
+    lines_b = b.decode("utf-8").splitlines()
+    if lines_a == lines_b:
+        return None
+    if len(lines_a) == len(lines_b) and sorted(lines_a) == sorted(lines_b):
+        moved = [i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y]
+        summary = f"@@ ordering differences only: {len(moved)} of {len(lines_a)} lines moved @@"
+        i = moved[0]
+        return TextDiff((summary, f"-{lines_a[i]}", f"+{lines_b[i]}"), ordering_only=True)
+    lines = difflib.unified_diff(lines_a, lines_b, lineterm="")
+    # The first two lines are the ---/+++ file headers.
+    return TextDiff(tuple(itertools.islice(lines, 2, None)))
 
 
 def _meta_entries(ma: Member, mb: Member) -> tuple[tuple[str, str, str], ...]:
@@ -361,7 +389,8 @@ def compare_bytes(
 
     Identical inputs give a Same node with no children. Containers of the
     same format are unpacked and matched member-by-member; two texts produce
-    unified hunks; everything else produces byte ranges. Past ``max_depth``
+    unified hunks, or an ordering-only summary when one holds the other's
+    lines reordered; everything else produces byte ranges. Past ``max_depth``
     container levels the node is closed out with whole-payload ranges and a
     depth_limited marker.
     """
@@ -382,11 +411,9 @@ def compare_bytes(
         if node is not None:
             return node
     if fmt_a is Format.TEXT and fmt_b is Format.TEXT:
-        hunks = _unified_hunks(a, b)
-        if hunks:
-            return DiffNode(
-                path=path, format=Format.TEXT, status=Status.DIFFERS, detail=TextDiff(hunks)
-            )
+        text = _text_diff(a, b)
+        if text is not None:
+            return DiffNode(path=path, format=Format.TEXT, status=Status.DIFFERS, detail=text)
         # Same line content, different bytes (line endings, final newline).
         fmt = Format.TEXT
     return DiffNode(
@@ -457,7 +484,10 @@ def _detail_to_json(detail: Detail | None):
     if detail is None:
         return None
     if isinstance(detail, TextDiff):
-        return {"kind": "text", "hunks": list(detail.hunks)}
+        out = {"kind": "text", "hunks": list(detail.hunks)}
+        if detail.ordering_only:
+            out["ordering_only"] = True
+        return out
     if isinstance(detail, ByteRanges):
         return {
             "kind": "bytes",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import difflib
 import math
 
 import pytest
@@ -98,6 +99,17 @@ def test_fs_ordering_rule_text_permutation():
     f = one(b"obj-b.o\nobj-a.o\nobj-c.o\n", b"obj-a.o\nobj-b.o\nobj-c.o\n")
     assert f.cause is RootCause.FS_ORDERING
     assert f.confidence is Confidence.HIGH
+
+
+def test_fs_ordering_evidence_is_the_first_moved_line():
+    f = one(b"keep\nobj-b.o\nobj-a.o\n", b"keep\nobj-a.o\nobj-b.o\n")
+    assert (f.cause, f.evidence) == (RootCause.FS_ORDERING, ("obj-b.o", "obj-a.o"))
+
+
+def test_timestamp_evidence_from_a_line_that_looks_like_a_file_header():
+    f = one(b"-- built 2020-09-13\nx\n", b"-- built 2022-03-15\nx\n")
+    assert f.cause is RootCause.TIMESTAMP
+    assert f.evidence == ("2020-09-13", "2022-03-15")
 
 
 def test_fs_ordering_not_for_changed_content():
@@ -319,15 +331,14 @@ _KINDS = (
 _LINE = st.lists(st.sampled_from([token for kind in _KINDS for token in kind]), max_size=5)
 
 
-@st.composite
-def text_nodes(draw) -> DiffNode:
-    """A TextDiff whose ``+`` lines are the ``-`` lines shuffled or edited;
-    every ``-`` line ends in a token of one or two chosen kinds, and edits
-    swap such tokens."""
+def _shuffled_or_edited(draw, line) -> tuple[list[str], list[str]]:
+    """Two line lists, the second the first shuffled or edited; every line
+    of the first is drawn from ``line`` and ends in a token of one or two
+    chosen kinds, and edits swap such tokens."""
     kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=2, unique=True))
     chosen = [token for kind in kinds for token in kind]
     minus = draw(st.lists(
-        st.tuples(_LINE, st.sampled_from(chosen)).map(lambda t: [*t[0], t[1]]), max_size=8))
+        st.tuples(line, st.sampled_from(chosen)).map(lambda t: [*t[0], t[1]]), max_size=8))
     if draw(st.booleans()):
         plus = draw(st.permutations(minus))
     else:
@@ -344,10 +355,16 @@ def text_nodes(draw) -> DiffNode:
             elif edit == "delete" and at < len(plus):
                 del plus[at]
             else:
-                plus.insert(at, draw(_LINE))
+                plus.insert(at, draw(line))
+    return [" ".join(words) for words in minus], [" ".join(words) for words in plus]
+
+
+@st.composite
+def text_nodes(draw) -> DiffNode:
+    """A TextDiff whose ``+`` lines are the ``-`` lines shuffled or edited."""
+    minus, plus = _shuffled_or_edited(draw, _LINE)
     context = [" ".join(line) for line in draw(st.lists(_LINE, max_size=2))]
-    return _text_node([" ".join(line) for line in minus],
-                      [" ".join(line) for line in plus], context)
+    return _text_node(minus, plus, context)
 
 
 def _text_node(minus: list[str], plus: list[str], context: list[str] = ()) -> DiffNode:
@@ -365,3 +382,37 @@ def _text_node(minus: list[str], plus: list[str], context: list[str] = ()) -> Di
          _DEFAULT_EPOCHS)
 def test_text_rules_match_the_rule_chain(node, epochs):
     assert classify(node, epochs) == [chain_classify_text(node, epochs)]
+
+
+#: Lines that may begin like a unified diff's ``--- ``/``+++ `` file headers
+#: once they carry a ``-`` or ``+`` mark.
+_HEADER_LIKE_LINE = st.tuples(st.sampled_from(["--", "++", "ok"]), _LINE).map(
+    lambda t: [t[0], *t[1]])
+
+
+@st.composite
+def text_pairs(draw) -> tuple[bytes, bytes]:
+    """Two texts whose middle lines are shuffled or edited, between shared
+    head and tail lines."""
+    minus, plus = _shuffled_or_edited(draw, _HEADER_LIKE_LINE)
+    head, tail = ([" ".join(line) for line in draw(st.lists(_HEADER_LIKE_LINE, max_size=3))]
+                  for _ in range(2))
+    return tuple(("".join(line + "\n" for line in head + middle + tail)).encode()
+                 for middle in (minus, plus))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_pairs(), st.sampled_from([_DEFAULT_EPOCHS, (1_000_000_000, 1_000_000_005)]))
+@example((b"-- a 2021-03-09\nok\n", b"ok\n-- a 2021-03-09\n"), _DEFAULT_EPOCHS)
+@example((b"-- /build/first/src/main.c\n", b"-- /tmp/x/src/main.c\n"), _DEFAULT_EPOCHS)
+def test_compared_text_matches_the_rule_chain_over_difflib(pair, epochs):
+    a, b = pair
+    got = [(f.cause, f.confidence) for f in classify(compare_bytes(a, b, "t.txt"), epochs)]
+    if a == b:
+        assert got == []
+        return
+    lines = difflib.unified_diff(a.decode().splitlines(), b.decode().splitlines(), lineterm="")
+    hunks = tuple(lines)[2:]  # without the ---/+++ file headers
+    want = chain_classify_text(
+        DiffNode("t.txt", Format.TEXT, Status.DIFFERS, TextDiff(hunks)), epochs)
+    assert got == [(want.cause, want.confidence)]

@@ -214,11 +214,35 @@ def _comb(size: int, start: int, gap: int, count: int) -> tuple[bytes, bytes]:
 @example((compare._BLOCK, (b"", bytes(100))))
 @example((1, (b"abc", b"")))
 @example((64, (bytes(300), bytes(100) + b"\x01" * 50 + bytes(150))))
+@example((200, _comb(3000, 10, 64, 32)))
+@example((200, _comb(3000, 10, 64, 33)))
+@example((200, _comb(5050, 10, 64, 100)))
+@example((200, _comb(5050, 44, 64, 100)))
+@example((compare._BLOCK, _comb(2 * compare._BLOCK + 300, 10, 64, 3000)))
 def test_byte_ranges_matches_per_byte_walk(case):
     block, (a, b) = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compare, "_BLOCK", block)
         assert byte_ranges(a, b) == walk_byte_ranges(a, b)
+
+
+def test_byte_ranges_stops_clustering_past_the_cap():
+    # A flip every 65 bytes of 16 MiB: about 258k clusters, of which only
+    # the first 33 need to be found.
+    a, b = _comb(16 << 20, 0, 64, 1 << 20)
+    seen = []
+    differing_spans = compare._differing_spans
+
+    def counted(x, y):
+        for span in differing_spans(x, y):
+            seen.append(span)
+            yield span
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compare, "_differing_spans", counted)
+        got = byte_ranges(a, b)
+    assert len(seen) == compare._MAX_RANGES + 1
+    assert got == walk_byte_ranges(a, b)
 
 
 @pytest.mark.parametrize("edit", ["insert", "flip"])
@@ -255,6 +279,52 @@ def test_compare_bytes_text_hunks():
     assert node.detail.hunks[0].startswith("@@")
     assert "-beta" in node.detail.hunks and "+BETA" in node.detail.hunks
     assert not any(h.startswith(("--- ", "+++ ")) for h in node.detail.hunks)
+
+
+@pytest.mark.parametrize("a,b,minus,plus", [
+    (b"-- built 2020-09-13\nx\n", b"-- built 2022-03-15\nx\n",
+     "--- built 2020-09-13", "+-- built 2022-03-15"),
+    (b"++ one\nx\n", b"++ two\nx\n", "-++ one", "+++ two"),
+], ids=["dashes", "pluses"])
+def test_compare_bytes_text_keeps_lines_that_look_like_file_headers(a, b, minus, plus):
+    node = compare_bytes(a, b)
+    assert node.detail == TextDiff(("@@ -1,2 +1,2 @@", minus, plus, " x"))
+
+
+def test_compare_bytes_text_ordering_only():
+    a = b"".join(b"f%d\n" % i for i in range(10))
+    b = b"f0\nf1\nf5\nf3\nf4\nf2\nf6\nf7\nf9\nf8\n"
+    node = compare_bytes(a, b, path="list.txt")
+    assert node.format is Format.TEXT and node.status is Status.DIFFERS
+    assert node.detail == TextDiff(
+        ("@@ ordering differences only: 4 of 10 lines moved @@", "-f2", "+f5"),
+        ordering_only=True,
+    )
+    mirror = compare_bytes(b, a, path="list.txt")
+    assert mirror.detail == TextDiff(
+        ("@@ ordering differences only: 4 of 10 lines moved @@", "-f5", "+f2"),
+        ordering_only=True,
+    )
+    _assert_mirrored(node, mirror)
+
+
+def test_compare_bytes_text_ordering_only_needs_equal_multisets():
+    # Same set of lines, different counts: a real edit, shown as hunks.
+    node = compare_bytes(b"a\na\nb\n", b"a\nb\nb\n")
+    assert node.detail.ordering_only is False
+    assert "-a" in node.detail.hunks and "+b" in node.detail.hunks
+
+
+@pytest.mark.parametrize("a,b", [
+    (b"x\ny\n", b"x\r\ny\r\n"),
+    (b"x\ny\n", b"x\ny"),
+    (b"x\ny", b"x\r\ny\n"),
+], ids=["crlf", "final-newline", "both"])
+def test_compare_bytes_text_line_endings_give_byte_ranges(a, b):
+    for first, second in ((a, b), (b, a)):
+        node = compare_bytes(first, second)
+        assert node.format is Format.TEXT
+        assert isinstance(node.detail, ByteRanges) and node.detail.ranges
 
 
 def test_compare_bytes_text_same_lines_different_bytes():
@@ -430,6 +500,44 @@ def test_render_json_bytes_detail():
     assert set(r) >= {"offset", "len_first", "len_second", "first_hex", "second_hex"}
 
 
+def _ordering_tar_pair() -> tuple[bytes, bytes]:
+    names = [f"usr/share/f{i:03d}" for i in range(200)]
+    a = write_tar([Member(name="files.txt", content=("\n".join(names) + "\n").encode()),
+                   Member(name="notes.txt", content=b"one\n")])
+    b = write_tar([Member(name="files.txt", content=("\n".join(names[::-1]) + "\n").encode()),
+                   Member(name="notes.txt", content=b"two\n")])
+    return a, b
+
+
+def test_render_json_marks_only_ordering_only_nodes():
+    a, b = _ordering_tar_pair()
+    doc = json.loads(render_report(compare_bytes(a, b, path="d.tar"), ReportStyle.JSON))
+    flagged, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if node["detail"] is not None and "ordering_only" in node["detail"]:
+            flagged.append((node["path"], node["detail"]["ordering_only"]))
+        assert "ordering_only" not in node
+        stack.extend(node["children"])
+    assert flagged == [("d.tar!files.txt", True)]
+    notes = next(c for c in doc["children"] if c["path"] == "d.tar!notes.txt")
+    assert notes["detail"] == {"kind": "text", "hunks": ["@@ -1 +1 @@", "-one", "+two"]}
+
+
+def test_render_text_and_html_show_the_ordering_summary():
+    a, b = _ordering_tar_pair()
+    node = compare_bytes(a, b, path="d.tar")
+    summary = "@@ ordering differences only: 200 of 200 lines moved @@"
+    text = render_report(node, ReportStyle.TEXT).decode()
+    assert "  d.tar!files.txt [text] differs\n" in text
+    assert (f"    {summary}\n    -usr/share/f000\n    +usr/share/f199\n") in text
+    page = render_report(node, ReportStyle.HTML).decode()
+    assert '<span class="path">d.tar!files.txt</span>' in page
+    assert f'<tr class="hunk"><td colspan="2">{summary}</td></tr>' in page
+    assert '<td class="del">-usr/share/f000</td>' in page
+    assert '<td class="add">+usr/share/f199</td>' in page
+
+
 def test_render_html_page():
     out = render_report(compare_bytes(b"a\n", b"b\n"), ReportStyle.HTML)
     assert out.startswith(b"<!DOCTYPE html>")
@@ -510,6 +618,7 @@ def _assert_mirrored(n1, n2) -> None:
         assert n2.detail.entries == swapped
     elif isinstance(n1.detail, TextDiff):
         assert isinstance(n2.detail, TextDiff)
+        assert n2.detail.ordering_only == n1.detail.ordering_only
         minus = {h[1:] for h in n1.detail.hunks if h.startswith("-")}
         plus = {h[1:] for h in n1.detail.hunks if h.startswith("+")}
         minus2 = {h[1:] for h in n2.detail.hunks if h.startswith("-")}
