@@ -44,7 +44,7 @@ from .compare import (
     render_report,
 )
 from .consensus import AttestationStore, Decision, verdict
-from .errors import ReproError, ValidationError
+from .errors import ReproError
 from .fixtures import ALL_KINDS, generate_all, generate_fixture, kind_from_token, remediate_fixture
 from .normalize import NormalizePolicy, normalize_auto, policy_from_env
 from .runner import META_FILENAME, ReproVerdict, attest_build, double_build, parse_meta, run_build
@@ -55,8 +55,6 @@ _STYLES = {
     "json": ReportStyle.JSON,
     "html": ReportStyle.HTML,
 }
-
-_SHA256_HEX = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -282,11 +280,8 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         print(f"attestation stored for builder '{builder_id}'")
         return 0
 
-    local = args.local_sha256.lower()
-    if len(local) != _SHA256_HEX or any(c not in "0123456789abcdef" for c in local):
-        raise ValidationError(f"--local-sha256 is not a sha256 hex digest: {args.local_sha256!r}")
     tally = store.tally(args.source, args.version, args.arch, args.artifact)
-    decision = verdict(tally, local)
+    decision = verdict(tally, args.local_sha256)
     if decision.decision is Decision.TRUSTED:
         print(f"trusted: {decision.agreeing} of {decision.total} builder(s) agree")
         return 0

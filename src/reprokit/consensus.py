@@ -34,6 +34,7 @@ from .attestation import (
 from .errors import ParseError, StoreError, ValidationError
 
 _SAFE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._+-]*$")
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 _SIGNED_SUFFIX = ".buildinfo.signed"
 
@@ -192,7 +193,11 @@ def verdict(tally: ConsensusTally, local_sha256: str) -> Verdict:
     a unique at-least-half majority the answer is Inconclusive.
 
     ``agreeing`` counts the builders whose checksum equals the local one.
+    The local digest is compared in lowercase and must be 64 hex characters.
     """
+    local_sha256 = local_sha256.lower()
+    if not _SHA256_HEX.fullmatch(local_sha256):
+        raise ValidationError(f"local digest is not a sha256 hex digest: {local_sha256!r}")
     total = tally.total_builders
     agreeing = tally.counts.get(local_sha256, 0)
     max_count = max(tally.counts.values())

@@ -11,6 +11,8 @@ nondeterminism of its own through shared caches or temp directories.
 from __future__ import annotations
 
 import dataclasses
+import os
+import signal
 import subprocess
 import tempfile
 import time
@@ -32,6 +34,7 @@ from .varenv import (
     VariationProfile,
     apply_profile,
     default_profiles,
+    read_settings,
     validate_request,
 )
 
@@ -73,19 +76,9 @@ def parse_meta(path: Path | str) -> SourceMeta:
     """Read the ``repro.meta`` description at a source tree's root."""
     values: dict[str, str] = {}
     depends: list[DependencyPin] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ParseError("expected 'key=value'", line_no)
+    for key, value, line_no in read_settings(path):
         if key == "dep":
-            dep_name, dep_sep, dep_version = value.partition("=")
+            dep_name, dep_sep, dep_version = (part.strip() for part in value.partition("="))
             if not dep_sep or not dep_name or not dep_version:
                 raise ParseError("expected 'dep=<name>=<version>'", line_no)
             depends.append(DependencyPin(name=dep_name, version=dep_version))
@@ -112,19 +105,28 @@ def run_build(pb: PreparedBuild, req: BuildRequest) -> BuildResult:
     if not entry.is_file():
         raise ValidationError(f"build entry missing from workdir: {entry}")
     start = time.monotonic()
-    try:
-        proc = subprocess.run(
-            [str(entry)],
-            cwd=pb.workdir,
-            env=pb.env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            timeout=req.timeout_seconds,
-        )
-        exit_code, log = proc.returncode, proc.stdout
-    except subprocess.TimeoutExpired as err:
-        exit_code = TIMEOUT_EXIT_CODE
-        log = (err.stdout or b"") + b"\n[build timed out]\n"
+    with subprocess.Popen(
+        [str(entry)],
+        cwd=pb.workdir,
+        env=pb.env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        start_new_session=True,
+    ) as proc:
+        try:
+            log, _ = proc.communicate(timeout=req.timeout_seconds)
+            exit_code = proc.returncode
+        except BaseException as err:
+            # On a timeout or an interrupt, kill the build's whole process
+            # group so helpers it forked die with it; in its own session it
+            # no longer gets the terminal's Ctrl-C. The pipe is not drained
+            # afterwards: a process that left the group could hold it open.
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            if not isinstance(err, subprocess.TimeoutExpired):
+                raise
+            exit_code = TIMEOUT_EXIT_CODE
+            log = (err.stdout or b"") + b"\n[build timed out]\n"
     duration_ms = int((time.monotonic() - start) * 1000)
     Path(str(pb.workdir) + ".log").write_bytes(log)
 

@@ -2,9 +2,11 @@
 
 A :class:`VariationProfile` bundles every controlled source of variation:
 clock hint, locale, timezone, filesystem ordering, build path, hostname,
-username, and umask. The default pair disagrees on every single knob, so a
-build that is bit-for-bit identical under both has demonstrated insensitivity
-to all of them at once.
+username, umask, and an optional ``SOURCE_DATE_EPOCH``. It is the only record
+of them: the build environment is derived from its fields, so a profile with
+one knob replaced yields an environment with exactly that knob changed. The
+default pair disagrees on every single knob, so a build that is bit-for-bit
+identical under both has demonstrated insensitivity to all of them at once.
 
 Variation is delivered through an environment contract rather than by faking
 the kernel: cooperating builds read ``REPRO_EPOCH`` for the clock,
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ParseError, StructuralError, ValidationError
@@ -118,16 +120,40 @@ def ordered_entries(directory: Path | str, ordering: FsOrdering) -> list[str]:
 
 @dataclass(frozen=True)
 class VariationProfile:
+    """Every knob of one build's variation; :attr:`env` is derived from them."""
+
     name: str
-    env: dict[str, str]
-    clock_skew_seconds: int = 0
-    build_path_component: str = "build"
-    fs_ordering: FsOrdering = Forward()
-    umask: int = 0o022
-    locale: str = "C"
-    timezone: str = "UTC"
-    hostname: str = "host"
-    username: str = "builder"
+    clock_skew_seconds: int
+    build_path_component: str
+    fs_ordering: FsOrdering
+    umask: int
+    locale: str
+    timezone: str
+    hostname: str
+    username: str
+    source_date_epoch: int | None = None
+
+    def __post_init__(self) -> None:
+        component = self.build_path_component
+        if not component or "/" in component or "\\" in component or component in (".", ".."):
+            raise ValidationError("build_path_component must be a single path segment")
+
+    @property
+    def env(self) -> dict[str, str]:
+        """The exact environment a build under this profile receives."""
+        env = {
+            "TZ": self.timezone,
+            "LC_ALL": self.locale,
+            "LANG": self.locale,
+            "HOSTNAME": self.hostname,
+            "USER": self.username,
+            "UMASK": format(self.umask, "03o"),
+            "REPRO_EPOCH": str(BASE_EPOCH + self.clock_skew_seconds),
+            "REPRO_FS_ORDER": self.fs_ordering.token(),
+        }
+        if self.source_date_epoch is not None:
+            env["SOURCE_DATE_EPOCH"] = str(self.source_date_epoch)
+        return env
 
 
 @dataclass(frozen=True)
@@ -145,69 +171,6 @@ class PreparedBuild:
     profile: VariationProfile
 
 
-def materialize_env(
-    clock_skew_seconds: int,
-    fs_ordering: FsOrdering,
-    umask: int,
-    locale: str,
-    timezone: str,
-    hostname: str,
-    username: str,
-    source_date_epoch: int | None,
-) -> dict[str, str]:
-    """The exact environment a build under this profile receives."""
-    env = {
-        "TZ": timezone,
-        "LC_ALL": locale,
-        "LANG": locale,
-        "HOSTNAME": hostname,
-        "USER": username,
-        "UMASK": format(umask, "03o"),
-        "REPRO_EPOCH": str(BASE_EPOCH + clock_skew_seconds),
-        "REPRO_FS_ORDER": fs_ordering.token(),
-    }
-    if source_date_epoch is not None:
-        env["SOURCE_DATE_EPOCH"] = str(source_date_epoch)
-    return env
-
-
-def make_profile(
-    name: str,
-    clock_skew_seconds: int,
-    build_path_component: str,
-    fs_ordering: FsOrdering,
-    umask: int,
-    locale: str,
-    timezone: str,
-    hostname: str,
-    username: str,
-    source_date_epoch: int | None = None,
-) -> VariationProfile:
-    if (
-        not build_path_component
-        or "/" in build_path_component
-        or "\\" in build_path_component
-        or build_path_component in (".", "..")
-    ):
-        raise ValidationError("build_path_component must be a single path segment")
-    env = materialize_env(
-        clock_skew_seconds, fs_ordering, umask, locale, timezone,
-        hostname, username, source_date_epoch,
-    )
-    return VariationProfile(
-        name=name,
-        env=env,
-        clock_skew_seconds=clock_skew_seconds,
-        build_path_component=build_path_component,
-        fs_ordering=fs_ordering,
-        umask=umask,
-        locale=locale,
-        timezone=timezone,
-        hostname=hostname,
-        username=username,
-    )
-
-
 def default_profiles() -> tuple[VariationProfile, VariationProfile]:
     """The stock adversarial pair: a calm baseline and a hostile twin.
 
@@ -217,7 +180,7 @@ def default_profiles() -> tuple[VariationProfile, VariationProfile]:
     and umask. Only the first exports SOURCE_DATE_EPOCH, so builds that
     depend on its presence get exercised both ways.
     """
-    first = make_profile(
+    first = VariationProfile(
         name="baseline",
         clock_skew_seconds=0,
         build_path_component="build-1st",
@@ -229,7 +192,7 @@ def default_profiles() -> tuple[VariationProfile, VariationProfile]:
         username="builder-a",
         source_date_epoch=0,
     )
-    second = make_profile(
+    second = VariationProfile(
         name="divergent",
         clock_skew_seconds=CLOCK_SKEW_SECONDS,
         build_path_component="build-2nd-with-a-much-longer-name",
@@ -239,60 +202,66 @@ def default_profiles() -> tuple[VariationProfile, VariationProfile]:
         timezone="Pacific/Kiritimati",
         hostname="beta",
         username="builder-b",
-        source_date_epoch=None,
     )
     return first, second
 
 
-_PROFILE_KNOBS = {
-    "name", "clock_skew_seconds", "build_path_component", "fs_ordering",
-    "umask", "locale", "timezone", "hostname", "username", "source_date_epoch",
-}
+def read_settings(path: Path | str) -> list[tuple[str, str, int]]:
+    """The ``(key, value, line_no)`` settings of a ``key = value`` file.
 
-
-def load_profile(path: Path | str) -> VariationProfile:
-    """Read a profile from a ``knob = value`` config file.
-
-    Lines starting with ``#`` and blank lines are skipped. All knobs except
-    ``source_date_epoch`` are required; ``umask`` is octal, ``fs_ordering``
-    uses the forward / reverse / shuffled:<seed> tokens.
+    Blank lines and lines starting with ``#`` are skipped. Every other line
+    splits at its first ``=``, and the key and value are stripped.
     """
-    values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParseError(f"cannot read {path}: {err}") from None
+    settings = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ParseError("expected 'knob = value'", line_no)
-        key, value = key.strip(), value.strip()
-        if key not in _PROFILE_KNOBS:
+            raise ParseError("expected 'key=value'", line_no)
+        settings.append((key.strip(), value.strip(), line_no))
+    return settings
+
+
+#: Knobs whose text is not used as-is; every other knob is a plain string.
+_KNOB_PARSERS = {
+    "clock_skew_seconds": int,
+    "fs_ordering": ordering_from_token,
+    "umask": lambda text: int(text, 8),
+    "source_date_epoch": int,
+}
+
+
+def load_profile(path: Path | str) -> VariationProfile:
+    """Read a profile from a ``knob = value`` settings file.
+
+    Every :class:`VariationProfile` field is a knob, and all but
+    ``source_date_epoch`` are required; ``umask`` is octal, ``fs_ordering``
+    uses the forward / reverse / shuffled:<seed> tokens.
+    """
+    knobs = {field.name: field for field in fields(VariationProfile)}
+    values: dict[str, object] = {}
+    for key, text, line_no in read_settings(path):
+        if key not in knobs:
             raise ParseError(f"unknown knob {key!r}", line_no)
         if key in values:
             raise ParseError(f"duplicate knob {key!r}", line_no)
-        values[key] = value
-    missing = sorted(_PROFILE_KNOBS - {"source_date_epoch"} - values.keys())
+        try:
+            values[key] = _KNOB_PARSERS.get(key, str)(text)
+        except ValueError as err:
+            raise ParseError(f"bad numeric knob: {err}", line_no) from None
+    missing = sorted(
+        name for name, field in knobs.items()
+        if field.default is MISSING and name not in values
+    )
     if missing:
         raise ParseError(f"missing knobs: {', '.join(missing)}")
-    try:
-        skew = int(values["clock_skew_seconds"])
-        umask = int(values["umask"], 8)
-        sde = int(values["source_date_epoch"]) if "source_date_epoch" in values else None
-    except ValueError as err:
-        raise ParseError(f"bad numeric knob: {err}") from None
-    return make_profile(
-        name=values["name"],
-        clock_skew_seconds=skew,
-        build_path_component=values["build_path_component"],
-        fs_ordering=ordering_from_token(values["fs_ordering"]),
-        umask=umask,
-        locale=values["locale"],
-        timezone=values["timezone"],
-        hostname=values["hostname"],
-        username=values["username"],
-        source_date_epoch=sde,
-    )
+    return VariationProfile(**values)
 
 
 # -- staging ----------------------------------------------------------------

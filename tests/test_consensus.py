@@ -226,6 +226,19 @@ def test_verdict_majority_examples():
     assert v.agreeing == 0
 
 
+def test_verdict_reads_the_local_digest_in_lowercase():
+    v = verdict(tally_of({H_GOOD: 2, H_BAD: 1}), H_GOOD.upper())
+    assert v.decision is Decision.TRUSTED
+    assert v.agreeing == 2
+
+
+@pytest.mark.parametrize("local", ["nothex", H_GOOD[:-1], H_GOOD + "0", H_GOOD + "\n", "g" * 64])
+def test_verdict_rejects_a_local_digest_that_is_not_sha256(local):
+    with pytest.raises(ValidationError) as err:
+        verdict(tally_of({H_GOOD: 1}), local)
+    assert "sha256" in str(err.value)
+
+
 def test_verdict_tie_is_inconclusive():
     v = verdict(tally_of({H_GOOD: 2, H_BAD: 2}), H_GOOD)
     assert v.decision is Decision.INCONCLUSIVE

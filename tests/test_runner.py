@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +61,20 @@ def test_parse_meta_good(tmp_path):
     assert [(d.name, d.version) for d in meta.depends] == [
         ("libc6", "2.31-13"), ("zlib1g", "1:1.2.11"),
     ]
+
+
+def test_parse_meta_comments_and_spaces(tmp_path):
+    path = tmp_path / META_FILENAME
+    path.write_text(
+        "# release description\n"
+        "source = demo\n"
+        "  version=1.0  \n"
+        "arch =all\n"
+        "dep = zlib1g = 1:1.2.11\n"
+    )
+    meta = parse_meta(path)
+    assert (meta.source, meta.version, meta.architecture) == ("demo", "1.0", "all")
+    assert [(d.name, d.version) for d in meta.depends] == [("zlib1g", "1:1.2.11")]
 
 
 @pytest.mark.parametrize("body,needle", [
@@ -121,6 +138,66 @@ def test_run_build_timeout(tmp_path):
     assert result.exit_code == TIMEOUT_EXIT_CODE
     assert b"[build timed out]" in result.log
     assert result.checksums == ()
+
+
+# A build that forks a sleeper into its process group, records both pids,
+# and then overruns any short timeout.
+_FORKING_BUILD = (
+    "import os, pathlib, sys, time\n"
+    "sleeper = os.fork()\n"
+    "if sleeper == 0:\n"
+    "    time.sleep(10)\n"
+    "    os._exit(0)\n"
+    "pathlib.Path(sys.argv[0]).with_name('pids').write_text(f'{os.getpid()} {sleeper}')\n"
+    "time.sleep(10)\n"
+)
+
+
+def alive(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def wait_dead(pids, seconds=5.0) -> list[int]:
+    deadline = time.monotonic() + seconds
+    while any(alive(p) for p in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [p for p in pids if alive(p)]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_run_build_timeout_kills_the_process_group(tmp_path):
+    src = make_source(tmp_path, _FORKING_BUILD)
+    req = request(src, timeout=2)
+    pb = apply_profile(default_profiles()[0], req, tmp_path / "staging")
+    result = run_build(pb, req)
+    assert result.exit_code == TIMEOUT_EXIT_CODE
+    pids = [int(p) for p in (pb.workdir / "pids").read_text().split()]
+    assert wait_dead(pids) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_run_build_interrupt_kills_the_process_group(tmp_path, monkeypatch):
+    src = make_source(tmp_path, _FORKING_BUILD)
+    req = request(src)
+    pb = apply_profile(default_profiles()[0], req, tmp_path / "staging")
+    pid_file = pb.workdir / "pids"
+
+    def interrupted(self, timeout=None):
+        deadline = time.monotonic() + 10
+        while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_build(pb, req)
+    pids = [int(p) for p in pid_file.read_text().split()]
+    assert wait_dead(pids) == []
 
 
 def test_run_build_missing_entry(tmp_path):

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import os
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reprokit.errors import ParseError, StructuralError, ValidationError
 from reprokit.varenv import (
@@ -14,12 +19,11 @@ from reprokit.varenv import (
     Forward,
     Reverse,
     Shuffled,
+    VariationProfile,
     apply_profile,
     default_profiles,
     deterministic_shuffle,
     load_profile,
-    make_profile,
-    materialize_env,
     ordered_entries,
     ordering_from_token,
     validate_request,
@@ -105,8 +109,10 @@ def test_default_profile_environments():
 
 
 def test_materialize_env_exact():
-    env = materialize_env(
+    env = VariationProfile(
+        name="p",
         clock_skew_seconds=10,
+        build_path_component="build",
         fs_ordering=Shuffled(3),
         umask=0o002,
         locale="C.UTF-8",
@@ -114,7 +120,7 @@ def test_materialize_env_exact():
         hostname="box",
         username="worker",
         source_date_epoch=None,
-    )
+    ).env
     assert env == {
         "TZ": "Europe/Berlin",
         "LC_ALL": "C.UTF-8",
@@ -130,7 +136,7 @@ def test_materialize_env_exact():
 def test_make_profile_rejects_bad_path_component():
     for bad in ("", "a/b", "..", "."):
         with pytest.raises(ValidationError):
-            make_profile(
+            VariationProfile(
                 name="p",
                 clock_skew_seconds=0,
                 build_path_component=bad,
@@ -201,6 +207,74 @@ def test_load_profile_rejects_bad_configs(tmp_path, mutation):
     config.write_text(base.replace(old, new))
     with pytest.raises((ParseError, ValidationError)):
         load_profile(config)
+
+
+def test_replaced_knobs_reach_the_environment():
+    first, second = default_profiles()
+    env = replace(second, timezone="UTC", umask=0o022).env
+    assert env["TZ"] == "UTC"
+    assert env["UMASK"] == "022"
+    assert "SOURCE_DATE_EPOCH" not in replace(first, source_date_epoch=None).env
+
+
+@pytest.mark.parametrize("content", [None, b"name = \xff\n"])
+def test_load_profile_unreadable_file(tmp_path, content):
+    config = tmp_path / "p.conf"
+    if content is not None:
+        config.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        load_profile(config)
+    assert "cannot read" in str(err.value)
+
+
+# Setting values the file format can carry: nothing the reader strips or
+# splits a line at.
+_SETTING_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12).filter(
+    lambda s: s == s.strip() and "".join(s.splitlines()) == s
+)
+
+
+@st.composite
+def profiles(draw):
+    return VariationProfile(
+        name=draw(_SETTING_TEXT),
+        clock_skew_seconds=draw(st.integers(-(2**40), 2**40)),
+        build_path_component=draw(_SETTING_TEXT.filter(
+            lambda s: s not in ("", ".", "..") and "/" not in s and "\\" not in s
+        )),
+        fs_ordering=draw(st.one_of(
+            st.just(Forward()), st.just(Reverse()),
+            st.builds(Shuffled, st.integers(0, 2**64 - 1)),
+        )),
+        umask=draw(st.integers(0, 0o777)),
+        locale=draw(_SETTING_TEXT),
+        timezone=draw(_SETTING_TEXT),
+        hostname=draw(_SETTING_TEXT),
+        username=draw(_SETTING_TEXT),
+        source_date_epoch=draw(st.none() | st.integers(0, 2**40)),
+    )
+
+
+def profile_text(profile: VariationProfile) -> str:
+    lines = []
+    for field in fields(VariationProfile):
+        value = getattr(profile, field.name)
+        if field.name == "umask":
+            value = format(value, "o")
+        elif field.name == "fs_ordering":
+            value = value.token()
+        if value is not None:
+            lines.append(f"{field.name} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles())
+def test_load_profile_round_trips(profile):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "p.conf"
+        config.write_text(profile_text(profile), encoding="utf-8")
+        assert load_profile(config) == profile
 
 
 def make_source(tmp_path, entry_mode=0o755):
