@@ -26,10 +26,10 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from .errors import ParseError, StructuralError, ValidationError
 
-_SHA1_RE = re.compile(r"^[0-9a-f]{40}$")
-_SHA256_RE = re.compile(r"^[0-9a-f]{64}$")
-_PKGNAME_RE = re.compile(r"^[a-z0-9][a-z0-9+.-]*$")
-_ENVNAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_SHA1_RE = re.compile(r"[0-9a-f]{40}")
+_SHA256_RE = re.compile(r"[0-9a-f]{64}")
+_PKGNAME_RE = re.compile(r"[a-z0-9][a-z0-9+.-]*")
+_ENVNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # Canonical field order of the wire format.
 _FIELDS = (
@@ -156,9 +156,9 @@ def validate_attestation(att: Attestation) -> None:
         _check_filename(entry.filename)
         if entry.size < 0:
             raise ValidationError(f"negative size for {entry.filename}")
-        if not _SHA1_RE.match(entry.sha1):
+        if not _SHA1_RE.fullmatch(entry.sha1):
             raise ValidationError(f"bad sha1 for {entry.filename}")
-        if not _SHA256_RE.match(entry.sha256):
+        if not _SHA256_RE.fullmatch(entry.sha256):
             raise ValidationError(f"bad sha256 for {entry.filename}")
         key = entry.filename.encode()
         if prev is not None and key <= prev:
@@ -167,7 +167,7 @@ def validate_attestation(att: Attestation) -> None:
 
     prev = None
     for dep in att.depends:
-        if not _PKGNAME_RE.match(dep.name):
+        if not _PKGNAME_RE.fullmatch(dep.name):
             raise ValidationError(f"bad dependency name {dep.name!r}")
         if not dep.version or any(c.isspace() for c in dep.version):
             raise ValidationError(f"bad dependency version for {dep.name}")
@@ -178,7 +178,7 @@ def validate_attestation(att: Attestation) -> None:
 
     prev = None
     for name, value in att.environment:
-        if not _ENVNAME_RE.match(name):
+        if not _ENVNAME_RE.fullmatch(name):
             raise ValidationError(f"bad environment variable name {name!r}")
         if '"' in value or "\n" in value or "\\" in value:
             raise ValidationError(f"environment value for {name} contains forbidden characters")

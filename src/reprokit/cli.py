@@ -16,6 +16,7 @@ verifier can itself be verified.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import html
 import json
 import sys
@@ -143,6 +144,13 @@ def _check_report(
     return render_html_page(fragments, "reproducibility check")
 
 
+def _staging(given: str | None) -> contextlib.AbstractContextManager[str]:
+    """The given staging root, or a temporary one removed when the command ends."""
+    if given:
+        return contextlib.nullcontext(given)
+    return tempfile.TemporaryDirectory(prefix="reprokit-")
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     source = Path(args.source_dir)
     parse_meta(source / META_FILENAME)
@@ -150,7 +158,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         source_dir=source, build_entry=args.entry, output_subdir=args.out_subdir
     )
     profiles = _load_profile_pair(args)
-    v = double_build(req, profiles, args.staging)
+    with _staging(args.staging) as staging:
+        v = double_build(req, profiles, staging)
+        # A failed build has no checksums, so nothing is compared for it.
+        trees = _compare_mismatches(v)
 
     if v.first.exit_code != 0 or v.second.exit_code != 0:
         log_dir = Path(args.staging) if args.staging else Path(tempfile.mkdtemp(prefix="reprokit-logs-"))
@@ -165,7 +176,6 @@ def cmd_check(args: argparse.Namespace) -> int:
                 )
         return 4
 
-    trees = _compare_mismatches(v)
     findings = [f for tree in trees for f in classify(tree)]
     if args.report:
         Path(args.report).write_bytes(
@@ -221,8 +231,8 @@ def cmd_attest(args: argparse.Namespace) -> int:
         source_dir=source, build_entry=args.entry, output_subdir=args.out_subdir
     )
     profile = load_profile(args.profile) if args.profile else default_profiles()[0]
-    staging = args.staging if args.staging else tempfile.mkdtemp(prefix="reprokit-")
-    result = run_build(apply_profile(profile, req, staging), req)
+    with _staging(args.staging) as staging:
+        result = run_build(apply_profile(profile, req, staging), req)
     if result.exit_code != 0:
         print(
             f"build failed under profile '{result.profile_name}' (exit {result.exit_code})",
@@ -319,7 +329,8 @@ def _add_build_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-subdir", default="out", dest="out_subdir", metavar="DIR",
                         help="artifact directory the build writes (default: out)")
     parser.add_argument("--staging", metavar="DIR",
-                        help="directory to stage builds under (default: a fresh temp dir)")
+                        help="directory to stage builds under (default: a temporary directory, "
+                             "removed when the command ends)")
 
 
 def build_parser() -> _Parser:

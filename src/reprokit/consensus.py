@@ -33,7 +33,7 @@ from .attestation import (
 )
 from .errors import ParseError, StoreError, ValidationError
 
-_SAFE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._+-]*$")
+_SAFE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 _SIGNED_SUFFIX = ".buildinfo.signed"
@@ -61,7 +61,7 @@ class Verdict:
 
 
 def _safe(name: str, what: str) -> str:
-    if not _SAFE_NAME.match(name):
+    if not _SAFE_NAME.fullmatch(name):
         raise ValidationError(f"unsafe {what} for store paths: {name!r}")
     return name
 

@@ -14,6 +14,15 @@ Every kind also carries a fixed build variant applying the standard repair
 (sorted iteration, SOURCE_DATE_EPOCH, relative paths, normalized archive
 metadata, placeholder secrets, zeroed padding, C-locale rendering);
 ``remediate_fixture`` swaps it in.
+
+Every ``build`` script starts ``#!<sys.executable> -IS``: ``-I`` ignores
+``PYTHON*`` variables, user site-packages and the script's own directory,
+and ``-S`` skips the ``site`` stage, so no ``.pth`` hook or
+``sitecustomize`` of the host runs inside a fixture build. The scripts
+import only stdlib modules, so their outputs depend on nothing but the
+``src/`` tree and the profile's environment. The two flags are one token
+because the kernel passes everything after the interpreter path on a
+``#!`` line as a single argument.
 """
 
 from __future__ import annotations
@@ -470,8 +479,12 @@ _FIXTURES: dict[FixtureKind, _FixtureDef] = {
 
 
 def _write_build_script(dest: Path, body: str) -> None:
+    interpreter = sys.executable
+    if not interpreter or any(c.isspace() for c in interpreter):
+        # The kernel splits a #! line at whitespace, so no such script could start.
+        raise FixtureError(f"interpreter path unusable in a #! line: {interpreter!r}")
     script = dest / "build"
-    script.write_text("#!" + sys.executable + "\n" + body.lstrip("\n"), encoding="utf-8")
+    script.write_text(f"#!{interpreter} -IS\n" + body.lstrip("\n"), encoding="utf-8")
     mode = script.stat().st_mode
     script.chmod(mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
 

@@ -153,7 +153,12 @@ def double_build(
     profiles: tuple[VariationProfile, VariationProfile] | None = None,
     staging_root: Path | str | None = None,
 ) -> ReproVerdict:
-    """Build under both profiles and compare artifacts filename-wise."""
+    """Build under both profiles and compare artifacts filename-wise.
+
+    Without ``staging_root`` the builds are staged in a fresh ``mkdtemp``
+    directory that is left in place, because the verdict's artifact paths
+    point into it; callers that want it gone pass a root they remove.
+    """
     validate_request(req)
     first_profile, second_profile = profiles if profiles is not None else default_profiles()
     if staging_root is None:

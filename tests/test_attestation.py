@@ -189,7 +189,9 @@ def test_validate_rejects_bad_scalars(field, value):
         validate_attestation(bad)
 
 
-@pytest.mark.parametrize("sha1", ["", "ABCD", "g" * 40, "a" * 39, "a" * 41])
+# A `$` anchor also matches before one trailing newline, so a digest or
+# name ending in "\n" must be rejected by matching the whole value.
+@pytest.mark.parametrize("sha1", ["", "ABCD", "g" * 40, "a" * 39, "a" * 41, EMPTY_SHA1 + "\n"])
 def test_validate_rejects_bad_sha1(sha1):
     entry = ChecksumEntry(filename="a", size=1, sha1=sha1, sha256="0" * 64)
     with pytest.raises(ValidationError):
@@ -199,7 +201,17 @@ def test_validate_rejects_bad_sha1(sha1):
         )
 
 
-@pytest.mark.parametrize("name", ["", "Has-Upper", "-leading", "sp ace"])
+@pytest.mark.parametrize("sha256", ["", "g" * 64, "a" * 63, EMPTY_SHA256 + "\n"])
+def test_validate_rejects_bad_sha256(sha256):
+    entry = ChecksumEntry(filename="a", size=1, sha1="0" * 40, sha256=sha256)
+    with pytest.raises(ValidationError, match="bad sha256"):
+        make_attestation(
+            source="s", version="1", architecture="all",
+            checksums=[entry], depends=[], environment={}, builder_id="b",
+        )
+
+
+@pytest.mark.parametrize("name", ["", "Has-Upper", "-leading", "sp ace", "zlib\n"])
 def test_validate_rejects_bad_package_names(name):
     with pytest.raises(ValidationError):
         make_attestation(
@@ -207,6 +219,16 @@ def test_validate_rejects_bad_package_names(name):
             checksums=[entry_for("a", b"")],
             depends=[DependencyPin(name=name, version="1")],
             environment={}, builder_id="b",
+        )
+
+
+@pytest.mark.parametrize("name", ["", "1ST", "HAS-DASH", "TZ\n"])
+def test_validate_rejects_bad_env_names(name):
+    with pytest.raises(ValidationError, match="bad environment variable name"):
+        make_attestation(
+            source="s", version="1", architecture="all",
+            checksums=[entry_for("a", b"")],
+            depends=[], environment={name: "1"}, builder_id="b",
         )
 
 

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -101,6 +102,37 @@ def test_check_build_failure(tmp_path, capsys):
     assert ".log" in err
     log = tmp_path / "stage" / "first-build.log"
     assert b"kaboom" in log.read_bytes()
+
+
+@pytest.fixture
+def private_tmpdir(tmp_path, monkeypatch):
+    """Point the tempfile module at an empty directory of the test's own."""
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+    return tmpdir
+
+
+@pytest.mark.parametrize("kind,expected", [
+    (FixtureKind.CONTROL, 0),
+    (FixtureKind.TIMESTAMP, 1),
+])
+def test_check_without_staging_leaves_nothing_behind(tmp_path, private_tmpdir, kind, expected):
+    generate_fixture(kind, tmp_path / "src")
+    report = tmp_path / "report.json"
+    code = cli.main(["check", str(tmp_path / "src"), "--report", str(report), "--format", "json"])
+    assert code == expected
+    assert json.loads(report.read_bytes())["reproducible"] is (expected == 0)
+    assert list(private_tmpdir.iterdir()) == []
+
+
+def test_check_build_failure_without_staging_keeps_only_its_logs(tmp_path, private_tmpdir, capsys):
+    src = make_tree(tmp_path, "import sys\nprint('kaboom')\nsys.exit(7)\n")
+    assert cli.main(["check", str(src)]) == 4
+    [log_dir] = private_tmpdir.iterdir()
+    assert log_dir.name.startswith("reprokit-logs-")
+    assert str(log_dir / "first-build.log") in capsys.readouterr().err
+    assert b"kaboom" in (log_dir / "first-build.log").read_bytes()
 
 
 def test_check_unknown_flag_is_usage_error(tmp_path, capsys):
@@ -300,6 +332,18 @@ def test_attest_build_failure(tmp_path, capsys):
     ])
     assert code == 4
     assert "build failed" in capsys.readouterr().err
+
+
+def test_attest_without_staging_leaves_nothing_behind(tmp_path, private_tmpdir, capsys):
+    generate_fixture(FixtureKind.CONTROL, tmp_path / "src")
+    signed = tmp_path / "control.signed"
+    code = cli.main([
+        "attest", str(tmp_path / "src"), "--builder-id", "b-01",
+        "--key", str(tmp_path / "k"), "--generate-key", "--out", str(signed),
+    ])
+    assert code == 0
+    assert signed.is_file()
+    assert list(private_tmpdir.iterdir()) == []
 
 
 def consensus_setup(tmp_path, digests: list[str]):

@@ -84,6 +84,15 @@ def test_register_input_validation(store):
         store.registered_key("never-registered")
 
 
+# `$` also matches before a trailing newline, so the whole name must match.
+@pytest.mark.parametrize("builder_id", ["", ".hidden", "a/b", "evil\n"])
+def test_register_rejects_unsafe_builder_ids(store, builder_id):
+    _, public_key = generate_signing_key()
+    with pytest.raises(ValidationError, match="unsafe builder id"):
+        store.register_builder(builder_id, public_key)
+    assert not store.keys_dir.exists() or not any(store.keys_dir.iterdir())
+
+
 def test_submit_and_store_layout(store):
     private_key, public_key = generate_signing_key()
     store.register_builder("rebuilder-01", public_key)

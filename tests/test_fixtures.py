@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from reprokit.classify import RootCause, classify, primary_finding
@@ -62,6 +66,40 @@ def test_generate_all_covers_every_kind(tmp_path):
 def test_remediate_requires_generated_fixture(tmp_path):
     with pytest.raises(FixtureError):
         remediate_fixture(FixtureKind.TIMESTAMP, tmp_path / "nothing-here")
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_build_scripts_run_under_an_isolated_interpreter(tmp_path, kind):
+    shebang = f"#!{sys.executable} -IS\n"
+    generate_fixture(kind, tmp_path / "src")
+    assert (tmp_path / "src" / "build").read_text().startswith(shebang)
+    remediate_fixture(kind, tmp_path / "src")
+    assert (tmp_path / "src" / "build").read_text().startswith(shebang)
+
+
+def test_build_script_ignores_host_site_hooks(tmp_path):
+    generate_fixture(FixtureKind.CONTROL, tmp_path / "src")
+    hooks = tmp_path / "hooks"
+    hooks.mkdir()
+    marker = tmp_path / "site-hook-ran"
+    (hooks / "sitecustomize.py").write_text(f"open({str(marker)!r}, 'w').close()\n")
+    subprocess.run(
+        [str(tmp_path / "src" / "build")],
+        cwd=tmp_path / "src",
+        env=dict(os.environ, PYTHONPATH=str(hooks)),
+        check=True,
+        timeout=60,
+    )
+    assert (tmp_path / "src" / "out" / "bundle.txt").is_file()
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("interpreter", ["", "/usr/local/my python/bin/python3", "/usr/bin/py\tthon"])
+def test_build_script_needs_a_shebang_safe_interpreter(tmp_path, monkeypatch, interpreter):
+    monkeypatch.setattr(sys, "executable", interpreter)
+    with pytest.raises(FixtureError, match="interpreter path"):
+        generate_fixture(FixtureKind.CONTROL, tmp_path / "src")
+    assert not (tmp_path / "src" / "build").exists()
 
 
 def test_control_fixture_is_reproducible(tmp_path):

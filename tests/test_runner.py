@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 
+from reprokit import cli
 from reprokit.attestation import parse_buildinfo, parse_signed, verify_signature
 from reprokit.errors import ParseError, ValidationError
 from reprokit.runner import (
@@ -198,6 +201,32 @@ def test_run_build_interrupt_kills_the_process_group(tmp_path, monkeypatch):
         run_build(pb, req)
     pids = [int(p) for p in pid_file.read_text().split()]
     assert wait_dead(pids) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_check_timeout_leaves_no_process_and_only_its_logs(tmp_path, monkeypatch):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+    monkeypatch.setattr(cli, "BuildRequest", functools.partial(BuildRequest, timeout_seconds=1))
+    pid_file = tmp_path / "pids"
+    src = make_source(tmp_path, (
+        "import os, time\n"
+        "sleeper = os.fork()\n"
+        "if sleeper == 0:\n"
+        "    time.sleep(10)\n"
+        "    os._exit(0)\n"
+        f"with open({str(pid_file)!r}, 'a') as fh:\n"
+        "    fh.write(f'{os.getpid()} {sleeper} ')\n"
+        "time.sleep(10)\n"
+    ))
+    assert cli.main(["check", str(src)]) == 4
+    pids = [int(p) for p in pid_file.read_text().split()]
+    assert len(pids) == 4
+    assert wait_dead(pids) == []
+    [log_dir] = tmpdir.iterdir()
+    assert log_dir.name.startswith("reprokit-logs-")
+    assert b"[build timed out]" in (log_dir / "first-build.log").read_bytes()
 
 
 def test_run_build_missing_entry(tmp_path):
