@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .compare import ByteRanges, DiffNode, MetaDiff, Status, TextDiff
+from .formats import META_FIELDS
 from .varenv import BASE_EPOCH, CLOCK_SKEW_SECONDS
 
 
@@ -53,8 +54,6 @@ class RootCauseFinding:
 _EPOCH_WINDOW = 157_788_000
 
 _DEFAULT_EPOCHS = (BASE_EPOCH, BASE_EPOCH + CLOCK_SKEW_SECONDS)
-
-_META_FIELD_NAMES = {"mtime", "uid", "gid", "uname", "gname", "mode"}
 
 _MONTHS = "Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec"
 _WEEKDAYS = "Mon|Tue|Wed|Thu|Fri|Sat|Sun"
@@ -143,7 +142,7 @@ def _is_datelike(token: str, epochs: tuple[int, int]) -> bool:
 
 def _rule_archive_metadata(node: DiffNode) -> RootCauseFinding | None:
     fields = {name for name, _, _ in node.detail.entries}
-    if not fields or not fields <= _META_FIELD_NAMES:
+    if not fields or not fields.issubset(META_FIELDS):
         return None
     first = " ".join(f"{n}={a}" for n, a, _ in node.detail.entries)
     second = " ".join(f"{n}={b}" for n, _, b in node.detail.entries)
@@ -195,11 +194,8 @@ def _rule_build_path(node: DiffNode, minus: str, plus: str) -> RootCauseFinding 
 def _rule_fs_ordering(
     node: DiffNode, minus_lines: list[str], plus_lines: list[str]
 ) -> RootCauseFinding | None:
-    # An ordering-only summary holds one moved line per side; hunks from
-    # elsewhere are tested for a permutation here.
-    if node.detail.ordering_only or (
-        minus_lines and sorted(minus_lines) == sorted(plus_lines)
-    ):
+    # An ordering-only summary holds one moved line per side.
+    if node.detail.ordering_only:
         return RootCauseFinding(
             cause=RootCause.FS_ORDERING,
             node_path=node.path,
@@ -300,10 +296,12 @@ def _classify_node(node: DiffNode, epochs: tuple[int, int]) -> RootCauseFinding:
     elif isinstance(detail, TextDiff):
         minus_lines = [line[1:] for line in detail.hunks if line.startswith("-")]
         plus_lines = [line[1:] for line in detail.hunks if line.startswith("+")]
-        # No pattern here matches across a line break and hunk lines hold
-        # none, so when one side's lines are a permutation of the other's the
-        # two sides have equal match sets and the timestamp and build-path
-        # rules, which fire on a set difference, cannot fire before this one.
+        # difflib's -/+ lines are the two texts minus their matched lines, so
+        # they are a permutation of each other only when the whole texts'
+        # lines are: exactly the case the comparator flags ordering_only, so
+        # the flag is the whole test. The two sides then hold the same lines,
+        # so the timestamp and build-path rules, which fire on a set
+        # difference of per-line matches, could not fire before this one.
         finding = _rule_fs_ordering(node, minus_lines, plus_lines)
         if finding is None:
             minus, plus = "\n".join(minus_lines), "\n".join(plus_lines)

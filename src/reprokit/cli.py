@@ -151,6 +151,21 @@ def _staging(given: str | None) -> contextlib.AbstractContextManager[str]:
     return tempfile.TemporaryDirectory(prefix="reprokit-")
 
 
+def _report_failed_builds(results, staging: str | None) -> None:
+    """Keep each failed build's log, under ``--staging`` or else in a new
+    ``reprokit-logs-*`` directory, and name it on stderr."""
+    log_dir = Path(staging) if staging else Path(tempfile.mkdtemp(prefix="reprokit-logs-"))
+    for slot, result in results:
+        if result.exit_code != 0:
+            log_path = log_dir / f"{slot}-build.log"
+            log_path.write_bytes(result.log)
+            print(
+                f"build failed under profile '{result.profile_name}' "
+                f"(exit {result.exit_code}); log: {log_path}",
+                file=sys.stderr,
+            )
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     source = Path(args.source_dir)
     parse_meta(source / META_FILENAME)
@@ -164,19 +179,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         trees = _compare_mismatches(v)
 
     if v.first.exit_code != 0 or v.second.exit_code != 0:
-        log_dir = Path(args.staging) if args.staging else Path(tempfile.mkdtemp(prefix="reprokit-logs-"))
-        for slot, result in (("first", v.first), ("second", v.second)):
-            if result.exit_code != 0:
-                log_path = log_dir / f"{slot}-build.log"
-                log_path.write_bytes(result.log)
-                print(
-                    f"build failed under profile '{result.profile_name}' "
-                    f"(exit {result.exit_code}); log: {log_path}",
-                    file=sys.stderr,
-                )
+        _report_failed_builds((("first", v.first), ("second", v.second)), args.staging)
         return 4
 
-    findings = [f for tree in trees for f in classify(tree)]
+    # Bare Unix-timestamp integers are recognized near the builds' own clocks.
+    epochs = tuple(int(p.env["REPRO_EPOCH"]) for p in profiles)
+    findings = [f for tree in trees for f in classify(tree, epochs)]
     if args.report:
         Path(args.report).write_bytes(
             _check_report(v, trees, findings, _STYLES[args.format])
@@ -234,10 +242,7 @@ def cmd_attest(args: argparse.Namespace) -> int:
     with _staging(args.staging) as staging:
         result = run_build(apply_profile(profile, req, staging), req)
     if result.exit_code != 0:
-        print(
-            f"build failed under profile '{result.profile_name}' (exit {result.exit_code})",
-            file=sys.stderr,
-        )
+        _report_failed_builds((("attest", result),), args.staging)
         return 4
     signed = attest_build(result, req, args.builder_id, private_key)
     out_path = (

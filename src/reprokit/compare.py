@@ -22,11 +22,20 @@ import json
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import FormatError
-from .formats import Member, parse_gzip, parse_tar, parse_zip
-
-DEFAULT_MAX_DEPTH = 8
+from .formats import (
+    CONTAINERS,
+    MAX_NESTING,
+    META_FIELDS,
+    Format,
+    Member,
+    detect_format,
+    parse_gzip,
+    parse_tar,
+    parse_zip,
+)
 
 #: Byte positions closer than this merge into one reported range.
 _RESYNC_WINDOW = 64
@@ -35,16 +44,6 @@ _RESYNC_WINDOW = 64
 _EXCERPT_BYTES = 64
 
 _MAX_RANGES = 32
-
-_META_FIELDS = ("mtime", "uid", "gid", "uname", "gname", "mode")
-
-
-class Format(enum.Enum):
-    GZIP = "gzip"
-    TAR = "tar"
-    ZIP = "zip"
-    TEXT = "text"
-    BINARY = "binary"
 
 
 class Status(enum.Enum):
@@ -102,23 +101,6 @@ class DiffNode:
     detail: Detail | None
     children: tuple[DiffNode, ...] = ()
     depth_limited: bool = False
-
-
-def detect_format(data: bytes) -> Format:
-    """Classify bytes by magic numbers; falls back to text, then binary."""
-    if data[0:2] == b"\x1f\x8b":
-        return Format.GZIP
-    if data[0:4] == b"PK\x03\x04":
-        return Format.ZIP
-    if data[257:262] == b"ustar":
-        return Format.TAR
-    if b"\x00" not in data:
-        try:
-            data.decode("utf-8")
-            return Format.TEXT
-        except UnicodeDecodeError:
-            pass
-    return Format.BINARY
 
 
 def unpack(data: bytes, fmt: Format) -> list[Member]:
@@ -283,14 +265,13 @@ def _text_diff(a: bytes, b: bytes) -> TextDiff | None:
 
 def _meta_entries(ma: Member, mb: Member) -> tuple[tuple[str, str, str], ...]:
     da, db = ma.meta(), mb.meta()
-    out = []
-    for name in _META_FIELDS:
-        va, vb = da.get(name), db.get(name)
-        if va is None and vb is None:
-            continue
-        if va != vb:
-            out.append((name, va if va is not None else "", vb if vb is not None else ""))
-    return tuple(out)
+    if da == db:
+        return ()
+    return tuple(
+        (name, da.get(name, ""), db.get(name, ""))
+        for name in META_FIELDS
+        if da.get(name) != db.get(name)
+    )
 
 
 def _index_members(members: list[Member]) -> dict[str, Member] | None:
@@ -308,7 +289,6 @@ def _compare_members(
     fmt: Format,
     path: str,
     depth: int,
-    max_depth: int,
 ) -> DiffNode | None:
     """Container comparison; None means fall back to a byte comparison."""
     try:
@@ -343,9 +323,7 @@ def _compare_members(
             )
             continue
         ma, mb = index_a[name], index_b[name]
-        content_node = compare_bytes(
-            ma.content, mb.content, child_path, depth + 1, max_depth
-        )
+        content_node = compare_bytes(ma.content, mb.content, child_path, depth + 1)
         meta = _meta_entries(ma, mb)
         if meta:
             children.append(
@@ -378,36 +356,30 @@ def _compare_members(
     )
 
 
-def compare_bytes(
-    a: bytes,
-    b: bytes,
-    path: str = "artifact",
-    depth: int = 0,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> DiffNode:
+def compare_bytes(a: bytes, b: bytes, path: str = "artifact", depth: int = 0) -> DiffNode:
     """Compare two byte strings recursively; the result tree is pure data.
 
     Identical inputs give a Same node with no children. Containers of the
     same format are unpacked and matched member-by-member; two texts produce
     unified hunks, or an ordering-only summary when one holds the other's
-    lines reordered; everything else produces byte ranges. Past ``max_depth``
-    container levels the node is closed out with whole-payload ranges and a
-    depth_limited marker.
+    lines reordered; everything else produces byte ranges. A container nested
+    deeper than ``MAX_NESTING`` levels is not opened: its node is closed out
+    with whole-payload ranges and a depth_limited marker.
     """
     fmt_a, fmt_b = detect_format(a), detect_format(b)
     fmt = fmt_a if fmt_a is fmt_b else Format.BINARY
     if a == b:
         return DiffNode(path=path, format=fmt, status=Status.SAME, detail=None)
-    if depth >= max_depth:
-        return DiffNode(
-            path=path,
-            format=fmt,
-            status=Status.DIFFERS,
-            detail=byte_ranges(a, b),
-            depth_limited=True,
-        )
-    if fmt_a is fmt_b and fmt_a in (Format.GZIP, Format.TAR, Format.ZIP):
-        node = _compare_members(a, b, fmt_a, path, depth, max_depth)
+    if fmt_a is fmt_b and fmt_a in CONTAINERS:
+        if depth > MAX_NESTING:
+            return DiffNode(
+                path=path,
+                format=fmt,
+                status=Status.DIFFERS,
+                detail=byte_ranges(a, b),
+                depth_limited=True,
+            )
+        node = _compare_members(a, b, fmt_a, path, depth)
         if node is not None:
             return node
     if fmt_a is Format.TEXT and fmt_b is Format.TEXT:
@@ -421,15 +393,10 @@ def compare_bytes(
     )
 
 
-def compare_files(path_a, path_b, root_path: str | None = None,
-                  max_depth: int = DEFAULT_MAX_DEPTH) -> DiffNode:
-    from pathlib import Path
-
+def compare_files(path_a, path_b) -> DiffNode:
+    """Compare two files; the root node is named after the first."""
     a, b = Path(path_a), Path(path_b)
-    return compare_bytes(
-        a.read_bytes(), b.read_bytes(), root_path if root_path is not None else a.name,
-        max_depth=max_depth,
-    )
+    return compare_bytes(a.read_bytes(), b.read_bytes(), a.name)
 
 
 # -- rendering --------------------------------------------------------------

@@ -296,11 +296,12 @@ os.makedirs("out", exist_ok=True)
 with open(os.path.join("src", "record.dat"), "rb") as fh:
     payload = fh.read()
 digest = hashlib.sha256(payload).digest()
-if os.environ.get("REPRO_FIXED") == "1":
+# Stand-in for struct padding left uninitialized. The knob is
+# SOURCE_DATE_EPOCH: a build that exports it zeroes the padding, one that
+# does not leaves process-state garbage that changes with the environment.
+if "SOURCE_DATE_EPOCH" in os.environ:
     padding = b"\x00" * 16
 else:
-    # Stand-in for struct padding left uninitialized: process-state garbage
-    # that changes with the environment instead of being zeroed.
     env_dump = "|".join("%s=%s" % item for item in sorted(os.environ.items()))
     padding = hashlib.sha256(env_dump.encode("utf-8")).digest()[:16]
 record = b"RECD" + len(payload).to_bytes(4, "big") + digest + padding

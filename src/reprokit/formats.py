@@ -11,11 +11,14 @@ they fill in host metadata). So this module owns the byte-level formats:
   so equal logical archives always serialize to equal bytes.
 
 Members carry the union of the metadata the three formats support; fields a
-format lacks stay None.
+format lacks stay None. This module also owns the decisions every reader of
+containers shares: how a byte string's format is detected, how deep nested
+containers are opened, and which member fields count as metadata.
 """
 
 from __future__ import annotations
 
+import enum
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -29,6 +32,42 @@ _GZIP_FHCRC = 2
 _GZIP_FEXTRA = 4
 _GZIP_FNAME = 8
 _GZIP_FCOMMENT = 16
+
+#: Container levels opened below the outermost one. The comparator and the
+#: normalizer both open a container at depth ``MAX_NESTING`` (the artifact
+#: itself is depth 0) and leave one deeper closed.
+MAX_NESTING = 8
+
+#: Member metadata fields, in the order they are listed and compared.
+META_FIELDS = ("mtime", "uid", "gid", "uname", "gname", "mode")
+
+
+class Format(enum.Enum):
+    GZIP = "gzip"
+    TAR = "tar"
+    ZIP = "zip"
+    TEXT = "text"
+    BINARY = "binary"
+
+
+CONTAINERS = (Format.GZIP, Format.TAR, Format.ZIP)
+
+
+def detect_format(data: bytes) -> Format:
+    """Classify bytes by magic numbers; falls back to text, then binary."""
+    if data[0:2] == b"\x1f\x8b":
+        return Format.GZIP
+    if data[0:4] == b"PK\x03\x04":
+        return Format.ZIP
+    if data[257:262] == b"ustar":
+        return Format.TAR
+    if b"\x00" not in data:
+        try:
+            data.decode("utf-8")
+            return Format.TEXT
+        except UnicodeDecodeError:
+            pass
+    return Format.BINARY
 
 
 @dataclass(frozen=True)
@@ -46,20 +85,12 @@ class Member:
     is_dir: bool = False
 
     def meta(self) -> dict[str, str]:
-        """Present metadata fields rendered as strings, for meta-diffing."""
+        """Present metadata fields rendered as strings, in ``META_FIELDS`` order."""
         out: dict[str, str] = {}
-        if self.mtime is not None:
-            out["mtime"] = str(self.mtime)
-        if self.uid is not None:
-            out["uid"] = str(self.uid)
-        if self.gid is not None:
-            out["gid"] = str(self.gid)
-        if self.uname is not None:
-            out["uname"] = self.uname
-        if self.gname is not None:
-            out["gname"] = self.gname
-        if self.mode is not None:
-            out["mode"] = format(self.mode, "04o")
+        for name in META_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = format(value, "04o") if name == "mode" else str(value)
         return out
 
 

@@ -19,10 +19,14 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .compare import Format, detect_format
 from .errors import FormatError, ValidationError
 from .formats import (
+    CONTAINERS,
+    MAX_NESTING,
+    META_FIELDS,
+    Format,
     Member,
+    detect_format,
     parse_gzip,
     parse_tar,
     parse_zip_with_errors,
@@ -31,16 +35,12 @@ from .formats import (
     write_zip,
 )
 
-#: Container nesting levels normalize_auto will descend through.
-MAX_NESTING = 8
-
 
 @dataclass(frozen=True)
 class NormalizePolicy:
     epoch: int
     zero_ownership: bool = True
     sort_members: bool = True
-    strip_names: bool = True
 
     def __post_init__(self) -> None:
         if self.epoch < 0:
@@ -59,15 +59,8 @@ def policy_from_env(environ=None) -> NormalizePolicy:
 
 
 def _scrub(member: Member, policy: NormalizePolicy, content: bytes) -> Member:
-    mtime = member.mtime if member.mtime is not None else 0
-    scrubbed = {
-        "mtime": min(mtime, policy.epoch),
-        "uid": member.uid,
-        "gid": member.gid,
-        "uname": member.uname,
-        "gname": member.gname,
-        "mode": member.mode,
-    }
+    scrubbed = {name: getattr(member, name) for name in META_FIELDS}
+    scrubbed["mtime"] = min(member.mtime or 0, policy.epoch)
     if policy.zero_ownership:
         scrubbed["uid"] = 0 if member.uid is not None else None
         scrubbed["gid"] = 0 if member.gid is not None else None
@@ -81,10 +74,11 @@ def _scrub(member: Member, policy: NormalizePolicy, content: bytes) -> Member:
 def normalize_bytes(data: bytes, policy: NormalizePolicy, _depth: int = 0) -> bytes:
     """Normalize recursively: inner archives are normalized before their
     containers are re-emitted. Non-containers pass through unchanged, as do
-    members that merely look like containers but fail to parse.
+    containers nested deeper than ``MAX_NESTING`` levels and members that
+    merely look like containers but fail to parse.
     """
     fmt = detect_format(data)
-    if fmt not in (Format.GZIP, Format.TAR, Format.ZIP):
+    if fmt not in CONTAINERS or _depth > MAX_NESTING:
         return data
     try:
         return _normalize_container(data, fmt, policy, _depth)
@@ -97,15 +91,14 @@ def normalize_bytes(data: bytes, policy: NormalizePolicy, _depth: int = 0) -> by
 def _normalize_container(
     data: bytes, fmt: Format, policy: NormalizePolicy, depth: int
 ) -> bytes:
-    """One container level: parse, normalize the contents below ``MAX_NESTING``,
-    scrub the metadata, sort members, and re-emit through the canonical writer.
+    """One container level: parse, normalize the contents, scrub the
+    metadata, sort members, and re-emit through the canonical writer, which
+    drops gzip's original filename.
     """
-    descend = depth < MAX_NESTING
     if fmt is Format.GZIP:
         gs = parse_gzip(data)
-        payload = normalize_bytes(gs.payload, policy, depth + 1) if descend else gs.payload
-        filename = None if policy.strip_names else gs.filename
-        return write_gzip(payload, mtime=min(gs.mtime, policy.epoch), filename=filename)
+        payload = normalize_bytes(gs.payload, policy, depth + 1)
+        return write_gzip(payload, mtime=min(gs.mtime, policy.epoch))
     if fmt is Format.TAR:
         parsed, write = parse_tar(data), write_tar
     else:
@@ -114,8 +107,7 @@ def _normalize_container(
             raise FormatError("cannot normalize: " + "; ".join(errors))
         write = write_zip
     members = [
-        _scrub(m, policy, normalize_bytes(m.content, policy, depth + 1)
-               if descend and not m.is_dir else m.content)
+        _scrub(m, policy, m.content if m.is_dir else normalize_bytes(m.content, policy, depth + 1))
         for m in parsed
     ]
     if policy.sort_members:

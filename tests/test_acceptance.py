@@ -129,7 +129,7 @@ def test_criterion_2_classifier_accuracy(corpus_verdicts):
                 hits += 1
             else:
                 misses.append(kind.value)
-        assert hits >= 7, f"only {hits}/8 designed causes matched; missed {misses}"
+        assert hits == 8, f"only {hits}/8 designed causes matched; missed {misses}"
 
 
 def test_criterion_3_remediation_soundness(tmp_path):

@@ -368,9 +368,12 @@ def text_nodes(draw) -> DiffNode:
 
 
 def _text_node(minus: list[str], plus: list[str], context: list[str] = ()) -> DiffNode:
+    """A text node flagged ordering-only, as the comparator flags it, exactly
+    when its ``-`` lines are a non-empty permutation of its ``+`` lines."""
     hunks = (f"@@ -1,{len(minus)} +1,{len(plus)} @@", *(" " + line for line in context),
              *("-" + line for line in minus), *("+" + line for line in plus))
-    return DiffNode("t.txt", Format.TEXT, Status.DIFFERS, TextDiff(hunks))
+    ordering_only = bool(minus) and sorted(minus) == sorted(plus)
+    return DiffNode("t.txt", Format.TEXT, Status.DIFFERS, TextDiff(hunks, ordering_only))
 
 
 @settings(max_examples=500, deadline=None)

@@ -135,6 +135,34 @@ def test_check_build_failure_without_staging_keeps_only_its_logs(tmp_path, priva
     assert b"kaboom" in (log_dir / "first-build.log").read_bytes()
 
 
+def write_profile(path: Path, name: str, clock_skew_seconds: int) -> Path:
+    path.write_text(
+        f"name = {name}\nclock_skew_seconds = {clock_skew_seconds}\n"
+        f"build_path_component = {name}\nfs_ordering = forward\numask = 022\n"
+        "locale = C\ntimezone = UTC\nhostname = h\nusername = u\n"
+    )
+    return path
+
+
+def test_check_classifies_against_the_loaded_profiles_clocks(tmp_path):
+    # Both clocks lie far outside the stock profiles' timestamp window.
+    src = make_tree(tmp_path, (
+        "import os\nos.makedirs('out')\n"
+        "with open('out/stamp.txt', 'w') as fh:\n"
+        "    fh.write('built at ' + os.environ['REPRO_EPOCH'] + '\\n')\n"
+    ))
+    report = tmp_path / "report.json"
+    code = cli.main([
+        "check", str(src), "--staging", str(tmp_path / "stage"),
+        "--profile-a", str(write_profile(tmp_path / "a.profile", "one", 450_000_000)),
+        "--profile-b", str(write_profile(tmp_path / "b.profile", "two", 400_000_000)),
+        "--report", str(report), "--format", "json",
+    ])
+    assert code == 1
+    [finding] = json.loads(report.read_bytes())["findings"]
+    assert (finding["cause"], finding["confidence"]) == ("timestamp", "high")
+
+
 def test_check_unknown_flag_is_usage_error(tmp_path, capsys):
     code = cli.main(["check", str(tmp_path), "--frobnicate"])
     assert code == 3
@@ -332,6 +360,20 @@ def test_attest_build_failure(tmp_path, capsys):
     ])
     assert code == 4
     assert "build failed" in capsys.readouterr().err
+
+
+def test_attest_build_failure_without_staging_keeps_only_its_log(tmp_path, private_tmpdir, capsys):
+    src = make_tree(tmp_path, "import sys\nprint('kaboom')\nsys.exit(7)\n")
+    code = cli.main([
+        "attest", str(src), "--builder-id", "b-01",
+        "--key", str(tmp_path / "k"), "--generate-key",
+    ])
+    assert code == 4
+    [log_dir] = private_tmpdir.iterdir()
+    assert log_dir.name.startswith("reprokit-logs-")
+    [log] = log_dir.iterdir()
+    assert str(log) in capsys.readouterr().err
+    assert b"kaboom" in log.read_bytes()
 
 
 def test_attest_without_staging_leaves_nothing_behind(tmp_path, private_tmpdir, capsys):

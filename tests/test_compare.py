@@ -31,7 +31,16 @@ from reprokit.compare import (
     node_to_json,
     render_report,
 )
-from reprokit.formats import Member, write_gzip, write_tar, write_zip
+from reprokit.formats import (
+    MAX_NESTING,
+    META_FIELDS,
+    Member,
+    parse_gzip,
+    write_gzip,
+    write_tar,
+    write_zip,
+)
+from reprokit.normalize import NormalizePolicy, normalize_bytes
 
 
 @pytest.mark.parametrize("data,expected", [
@@ -431,15 +440,47 @@ def test_compare_nested_containers_and_depth_paths():
 
 
 def test_compare_respects_max_depth():
-    inner_a = write_tar([Member(name="f", content=b"a\n")])
-    inner_b = write_tar([Member(name="f", content=b"b\n")])
-    a = write_gzip(inner_a, mtime=0)
-    b = write_gzip(inner_b, mtime=0)
-    node = compare_bytes(a, b, max_depth=1)
-    child = node.children[0]
-    assert child.depth_limited is True
-    assert child.children == ()
-    assert isinstance(child.detail, ByteRanges)
+    # The outermost gzip is depth 0, so the tar sits one level past the limit.
+    a = write_tar([Member(name="f", content=b"a\n")])
+    b = write_tar([Member(name="f", content=b"b\n")])
+    for _ in range(MAX_NESTING + 1):
+        a, b = write_gzip(a, mtime=0), write_gzip(b, mtime=0)
+    node = compare_bytes(a, b)
+    for _ in range(MAX_NESTING + 1):
+        (node,) = node.children
+    assert node.format is Format.TAR
+    assert node.depth_limited is True
+    assert node.children == ()
+    assert isinstance(node.detail, ByteRanges)
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING, MAX_NESTING + 1, MAX_NESTING + 2])
+def test_compare_and_normalize_open_the_same_levels(levels):
+    a, b = b"a\n", b"b\n"
+    for _ in range(levels):
+        a, b = gzip_mod.compress(a, mtime=77), gzip_mod.compress(b, mtime=77)
+    node, opened = compare_bytes(a, b), 0
+    while node.children:
+        (node,) = node.children
+        opened += 1
+    if levels > MAX_NESTING + 1:
+        assert node.format is Format.GZIP and node.depth_limited is True
+    else:
+        # A text leaf is diffed at any depth, the limit's own included.
+        assert node.detail == TextDiff(("@@ -1 +1 @@", "-a", "+b"))
+    level, rewritten = normalize_bytes(a, NormalizePolicy(epoch=5)), 0
+    while detect_format(level) is Format.GZIP:
+        gs = parse_gzip(level)
+        rewritten += gs.mtime == 5
+        level = gs.payload
+    assert opened == rewritten == min(levels, MAX_NESTING + 1)
+
+
+def test_meta_fields_are_listed_in_one_order():
+    first = Member(name="f", content=b"", mtime=1, uid=2, gid=3, uname="u", gname="g", mode=0o644)
+    second = Member(name="f", content=b"", mtime=9, uid=8, gid=7, uname="v", gname="h", mode=0o600)
+    assert tuple(first.meta()) == META_FIELDS
+    assert tuple(name for name, _, _ in compare._meta_entries(first, second)) == META_FIELDS
 
 
 def test_compare_zip_members():
@@ -564,7 +605,6 @@ def test_compare_files_uses_first_name(tmp_path):
     pa.write_bytes(b"1\n")
     pb.write_bytes(b"2\n")
     assert compare_files(pa, pb).path == "left.txt"
-    assert compare_files(pa, pb, root_path="custom").path == "custom"
 
 
 def _random_artifact(rng: random.Random) -> bytes:

@@ -11,7 +11,7 @@ import zipfile
 import pytest
 
 from reprokit.errors import FormatError, ValidationError
-from reprokit.formats import Member, parse_gzip, parse_tar, parse_zip, write_gzip, write_tar
+from reprokit.formats import Member, parse_gzip, parse_tar, parse_zip, write_tar
 from reprokit.normalize import (
     MAX_NESTING,
     NormalizePolicy,
@@ -124,12 +124,6 @@ def test_gzip_convergence_and_name_stripping():
     assert gs.payload == payload
     assert gs.filename is None
     assert gs.mtime == EPOCH
-
-
-def test_gzip_keep_name_policy():
-    raw = write_gzip(b"x", mtime=0, filename="keep.me")
-    policy = NormalizePolicy(epoch=EPOCH, strip_names=False)
-    assert parse_gzip(normalize_bytes(raw, policy)).filename == "keep.me"
 
 
 def test_zip_convergence_across_environments():
