@@ -13,7 +13,9 @@ the raw 32-byte public key.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,9 +29,12 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .errors import ParseError, StructuralError, ValidationError
 
 _SHA1_RE = re.compile(r"[0-9a-f]{40}")
-_SHA256_RE = re.compile(r"[0-9a-f]{64}")
+#: A lowercase hex SHA-256 digest, matched with ``fullmatch``.
+SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 _PKGNAME_RE = re.compile(r"[a-z0-9][a-z0-9+.-]*")
 _ENVNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEPENDS_LINE_RE = re.compile(r" ([^ ]+) \(= ([^ ()]+)\)")
+_ENV_LINE_RE = re.compile(r' ([^=]+)="([^"]*)"')
 
 # Canonical field order of the wire format.
 _FIELDS = (
@@ -135,10 +140,19 @@ def _check_scalar(name: str, value: str) -> None:
         raise ValidationError(f"{name} must have no newlines or surrounding whitespace")
 
 
+def _is_token(text: str) -> bool:
+    """True iff ``text`` is nonempty and no character of it ``isspace()``.
+
+    ``str.split()`` splits at exactly the characters ``str.isspace()``
+    accepts, so this is that per-character test done in one C call.
+    """
+    return text.split() == [text]
+
+
 def _check_filename(filename: str) -> None:
     if not filename or "/" in filename or "\\" in filename:
         raise ValidationError(f"artifact filename must be a basename: {filename!r}")
-    if any(c.isspace() for c in filename) or "\x00" in filename:
+    if not _is_token(filename) or "\x00" in filename:
         raise ValidationError(f"artifact filename must not contain whitespace: {filename!r}")
 
 
@@ -146,7 +160,7 @@ def validate_attestation(att: Attestation) -> None:
     """Check every type invariant; raise ValidationError on the first breach."""
     _check_scalar("Source", att.source)
     _check_scalar("Version", att.version)
-    if any(c.isspace() for c in att.version):
+    if not _is_token(att.version):
         raise ValidationError("Version must not contain whitespace")
     _check_scalar("Build-Architecture", att.architecture)
     _check_scalar("Builder-Id", att.builder_id)
@@ -158,7 +172,7 @@ def validate_attestation(att: Attestation) -> None:
             raise ValidationError(f"negative size for {entry.filename}")
         if not _SHA1_RE.fullmatch(entry.sha1):
             raise ValidationError(f"bad sha1 for {entry.filename}")
-        if not _SHA256_RE.fullmatch(entry.sha256):
+        if not SHA256_HEX.fullmatch(entry.sha256):
             raise ValidationError(f"bad sha256 for {entry.filename}")
         key = entry.filename.encode()
         if prev is not None and key <= prev:
@@ -169,7 +183,7 @@ def validate_attestation(att: Attestation) -> None:
     for dep in att.depends:
         if not _PKGNAME_RE.fullmatch(dep.name):
             raise ValidationError(f"bad dependency name {dep.name!r}")
-        if not dep.version or any(c.isspace() for c in dep.version):
+        if not _is_token(dep.version):
             raise ValidationError(f"bad dependency version for {dep.name}")
         key = dep.name.encode()
         if prev is not None and key <= prev:
@@ -188,6 +202,24 @@ def validate_attestation(att: Attestation) -> None:
         prev = key
 
 
+@contextlib.contextmanager
+def _read_artifact(path: Path):
+    """Open an artifact file for reading; any failure names the file."""
+    try:
+        with path.open("rb") as f:
+            yield f
+    except OSError as err:
+        raise OSError(f"cannot read artifact file {path}: {err}") from err
+
+
+def artifact_size(path: Path | str) -> int:
+    """Size of one artifact file, read from the file opened as
+    :func:`checksum_file` opens it, so a file it could not read fails here
+    with the same error and without hashing a byte."""
+    with _read_artifact(Path(path)) as f:
+        return os.fstat(f.fileno()).st_size
+
+
 def checksum_file(path: Path | str) -> ChecksumEntry:
     """Size, SHA-1 and SHA-256 of one artifact file, under its basename.
 
@@ -196,14 +228,11 @@ def checksum_file(path: Path | str) -> ChecksumEntry:
     """
     path = Path(path)
     sha1, sha256, size = hashlib.sha1(), hashlib.sha256(), 0
-    try:
-        with path.open("rb") as f:
-            while chunk := f.read(_HASH_CHUNK):
-                sha1.update(chunk)
-                sha256.update(chunk)
-                size += len(chunk)
-    except OSError as err:
-        raise OSError(f"cannot read artifact file {path}: {err}") from err
+    with _read_artifact(path) as f:
+        while chunk := f.read(_HASH_CHUNK):
+            sha1.update(chunk)
+            sha256.update(chunk)
+            size += len(chunk)
     return ChecksumEntry(
         filename=path.name,
         size=size,
@@ -288,7 +317,9 @@ def _scan_fields(text: str) -> list[tuple[str, object, int]]:
     return fields
 
 
-def _parse_checksum_items(items: list[tuple[str, int]], hex_len: int) -> list[tuple[str, int, str]]:
+def _parse_checksum_items(
+    items: list[tuple[str, int]], digest_re: re.Pattern, hex_len: int
+) -> list[tuple[str, int, str]]:
     out = []
     for line, line_no in items:
         if not line.startswith("  ") or line[2:3] == " ":
@@ -297,7 +328,7 @@ def _parse_checksum_items(items: list[tuple[str, int]], hex_len: int) -> list[tu
         if len(tokens) != 3:
             raise ParseError("checksum line must be '<hash> <size> <filename>'", line_no)
         digest, size_s, filename = tokens
-        if len(digest) != hex_len or not re.fullmatch(r"[0-9a-f]+", digest):
+        if not digest_re.fullmatch(digest):
             raise ParseError(f"bad {hex_len}-char hex digest", line_no)
         if not size_s.isdigit() or size_s != str(int(size_s)):
             raise ParseError("bad size", line_no)
@@ -337,8 +368,8 @@ def parse_buildinfo(data: bytes) -> Attestation:
     if [name for name, _, _ in fields] != list(_FIELDS):
         raise ParseError("fields out of canonical order")
 
-    sha1_items = _parse_checksum_items(seen["Checksums-Sha1"][0], 40)
-    sha256_items = _parse_checksum_items(seen["Checksums-Sha256"][0], 64)
+    sha1_items = _parse_checksum_items(seen["Checksums-Sha1"][0], _SHA1_RE, 40)
+    sha256_items = _parse_checksum_items(seen["Checksums-Sha256"][0], SHA256_HEX, 64)
     if [(f, s) for _, s, f in sha1_items] != [(f, s) for _, s, f in sha256_items]:
         raise ParseError("Checksums-Sha1 and Checksums-Sha256 disagree on files or sizes")
     checksums = tuple(
@@ -348,14 +379,14 @@ def parse_buildinfo(data: bytes) -> Attestation:
 
     depends = []
     for line, line_no in seen["Installed-Build-Depends"][0]:
-        m = re.fullmatch(r" ([^ ]+) \(= ([^ ()]+)\)", line)
+        m = _DEPENDS_LINE_RE.fullmatch(line)
         if not m:
             raise ParseError("dependency line must be ' name (= version)'", line_no)
         depends.append(DependencyPin(name=m.group(1), version=m.group(2)))
 
     environment = []
     for line, line_no in seen["Environment"][0]:
-        m = re.fullmatch(r' ([^=]+)="([^"]*)"', line)
+        m = _ENV_LINE_RE.fullmatch(line)
         if not m:
             raise ParseError("environment line must be ' NAME=\"value\"'", line_no)
         environment.append((m.group(1), m.group(2)))
@@ -446,6 +477,6 @@ def parse_signed(data: bytes) -> SignedAttestation:
     except (UnicodeDecodeError, ValueError) as err:
         raise ParseError(f"bad signature hex: {err}") from None
     fingerprint = tail[1].decode("ascii", errors="replace")
-    if not re.fullmatch(r"[0-9a-f]{64}", fingerprint):
+    if not SHA256_HEX.fullmatch(fingerprint):
         raise ParseError("bad key fingerprint")
     return SignedAttestation(body=body, signature=signature, public_key_fingerprint=fingerprint)

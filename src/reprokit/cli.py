@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import html
 import json
 import sys
@@ -24,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 from .attestation import (
+    artifact_size,
     checksum_file,
     generate_signing_key,
     key_fingerprint,
@@ -256,7 +258,9 @@ def cmd_attest(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    observed = checksum_file(args.artifact)
+    # Every check that reads no artifact byte comes before the hash, so a
+    # forged, unlisted or wrong-sized claim is refused without hashing.
+    size = artifact_size(args.artifact)
     signed = parse_signed(Path(args.attestation).read_bytes())
     att = parse_buildinfo(signed.body)
 
@@ -270,12 +274,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return 1
         print("signature: ok")
 
-    name = observed.filename
+    name = Path(args.artifact).name
     entry = att.checksum_for(name)
     if entry is None:
         print(f"mismatch: {name} is not listed in the attestation")
         return 1
-    if observed != entry:
+    if size != entry.size or checksum_file(args.artifact) != entry:
         print(f"mismatch: {name} does not match the attested checksums")
         return 1
     print(f"verified: {name} matches the attestation")
@@ -289,10 +293,8 @@ def cmd_consensus(args: argparse.Namespace) -> int:
         print(f"registered builder '{args.builder_id}'")
         return 0
     if args.consensus_cmd == "submit":
-        signed = parse_signed(Path(args.attestation).read_bytes())
-        store.submit(signed)
-        builder_id = parse_buildinfo(signed.body).builder_id
-        print(f"attestation stored for builder '{builder_id}'")
+        att = store.submit(parse_signed(Path(args.attestation).read_bytes()))
+        print(f"attestation stored for builder '{att.builder_id}'")
         return 0
 
     tally = store.tally(args.source, args.version, args.arch, args.artifact)
@@ -431,10 +433,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser, built on the first :func:`main` call.
+
+    Parsing keeps no state in the parser: each call gets a fresh namespace
+    and no option has a mutable default, so one parser serves every call.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; may be called any number of times in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .attestation import (
+    SHA256_HEX,
     Attestation,
     SignedAttestation,
     key_fingerprint,
@@ -34,7 +36,6 @@ from .attestation import (
 from .errors import ParseError, StoreError, ValidationError
 
 _SAFE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*")
-_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 _SIGNED_SUFFIX = ".buildinfo.signed"
 
@@ -64,6 +65,23 @@ def _safe(name: str, what: str) -> str:
     if not _SAFE_NAME.fullmatch(name):
         raise ValidationError(f"unsafe {what} for store paths: {name!r}")
     return name
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` beside ``path`` under a temporary name, then move it
+    into place, so a reader sees the old bytes or the new and never a part.
+
+    The temporary name ends in ``.tmp``, never in a suffix the store reads,
+    and is removed if the write or the move fails.
+    """
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class AttestationStore:
@@ -105,16 +123,20 @@ class AttestationStore:
                 )
             return
         self.keys_dir.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(public_key)
+        _replace_file(path, public_key)
 
     def registered_key(self, builder_id: str) -> bytes:
         path = self._key_path(builder_id)
-        if not path.exists():
-            raise StoreError(f"builder {builder_id!r} is not registered")
-        return path.read_bytes()
+        try:
+            return path.read_bytes()
+        except FileNotFoundError:
+            raise StoreError(f"builder {builder_id!r} is not registered") from None
 
-    def submit(self, sa: SignedAttestation) -> None:
-        """Verify and store one attestation, replacing the builder's prior one."""
+    def submit(self, sa: SignedAttestation) -> Attestation:
+        """Verify and store one attestation, replacing the builder's prior one.
+
+        Returns the parsed attestation that was stored.
+        """
         try:
             att = parse_buildinfo(sa.body)
         except ParseError as err:
@@ -128,8 +150,8 @@ class AttestationStore:
             raise StoreError(f"rejected: bad signature from {att.builder_id!r}")
         group = self._group_dir(att.source, att.version, att.architecture)
         group.mkdir(parents=True, exist_ok=True)
-        path = group / f"{att.builder_id}{_SIGNED_SUFFIX}"
-        path.write_bytes(serialize_signed(sa))
+        _replace_file(group / f"{att.builder_id}{_SIGNED_SUFFIX}", serialize_signed(sa))
+        return att
 
     def load(
         self, source: str, version: str, architecture: str
@@ -196,7 +218,7 @@ def verdict(tally: ConsensusTally, local_sha256: str) -> Verdict:
     The local digest is compared in lowercase and must be 64 hex characters.
     """
     local_sha256 = local_sha256.lower()
-    if not _SHA256_HEX.fullmatch(local_sha256):
+    if not SHA256_HEX.fullmatch(local_sha256):
         raise ValidationError(f"local digest is not a sha256 hex digest: {local_sha256!r}")
     total = tally.total_builders
     agreeing = tally.counts.get(local_sha256, 0)

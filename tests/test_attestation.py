@@ -8,7 +8,10 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reprokit import attestation
 from reprokit.attestation import (
     Attestation,
     ChecksumEntry,
@@ -342,6 +345,72 @@ def test_parse_rejects_malformed(mutate, needle):
     with pytest.raises(ParseError) as err:
         parse_buildinfo(data)
     assert needle.lower() in str(err.value).lower()
+
+
+# Each malformed document and the line its ParseError names (None: the
+# document as a whole), with a fragment of the message.
+@pytest.mark.parametrize(
+    "lineno,text,line,needle",
+    [
+        (1, "Source: demo\r", 1, "CR line ending"),
+        (1, " Source: demo", 1, "continuation line"),
+        (2, "Version:1.0-1", 2, "one space"),
+        (2, "Version:  1.0-1", 2, "bad scalar value"),
+        (2, "Version: 1.0\xa01", None, "Version must not contain whitespace"),
+        (3, "Checksums-Sha1: x", 3, "no inline value"),
+        (4, "   {sha1} 6 a.txt", 4, "exactly two spaces"),
+        (4, "  {sha1} 6 a\u2028.txt", 4, "must not contain whitespace"),
+        (4, "  {sha1} 6 a\x1f.txt", 4, "must not contain whitespace"),
+        (4, "  {sha1} 6 a\x00.txt", 4, "must not contain whitespace"),
+        (4, "  {sha1} 6 dir/a.txt", 4, "basename"),
+        (6, "  {sha256} 6", 6, "checksum line must be"),
+        (6, "  {sha256_upper} 6 a.txt", 6, "64-char hex digest"),
+        (6, "  {sha256} 06 a.txt", 6, "bad size"),
+        (7, "", 7, "blank line"),
+        (7, "Build-Architecture all", 7, "Field: value"),
+        (9, " gcc (=12.2)", 9, "dependency line"),
+        (9, " gcc (= 12\u30002)", None, "bad dependency version"),
+        (12, ' TZ=UTC', 12, "environment line"),
+        (14, "Source: demo", 14, "duplicate field"),
+        (14, "X-Custom: v", 14, "unknown field"),
+    ],
+)
+def test_parse_error_line_numbers(lineno, text, line, needle):
+    lines = base_lines()
+    digests = {"sha1": lines[3].split()[0], "sha256": lines[5].split()[0]}
+    digests["sha256_upper"] = digests["sha256"].upper()
+    lines[lineno - 1:lineno - 1] = [text.format(**digests)]
+    if lineno <= 13:
+        del lines[lineno]
+    with pytest.raises(ParseError) as err:
+        parse_buildinfo(("\n".join(lines) + "\n").encode("utf-8"))
+    assert err.value.line == line
+    assert needle in str(err.value)
+
+
+def _has_whitespace_oracle(text: str) -> bool:
+    """The per-character whitespace test the attestation checks used before."""
+    return any(c.isspace() for c in text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.characters(codec=None, exclude_categories=())))
+@example("")
+@example("\x1c\x1d\x1e\x1f")
+@example("a\x85b")
+@example("\xa0")
+@example("pkg\u2028deb")
+@example("\u3000")
+@example("a\u200bb")  # zero-width space is not whitespace to either
+def test_is_token_matches_the_per_character_oracle(text):
+    assert attestation._is_token(text) == (text != "" and not _has_whitespace_oracle(text))
+
+
+def test_is_token_matches_the_oracle_on_every_code_point():
+    for cp in range(0x110000):
+        c = chr(cp)
+        if attestation._is_token(c) == c.isspace():
+            pytest.fail(f"U+{cp:04X}: the predicates disagree")
 
 
 def test_parse_requires_trailing_newline():

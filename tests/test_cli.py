@@ -305,26 +305,42 @@ def test_verify_wrong_public_key(tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().out
 
 
-def attest_one_file(tmp_path, artifact: Path) -> Path:
-    """Sign an attestation that lists only ``artifact``, hashed independently."""
+def signed_pair(tmp_path, artifact: Path, *, listed_as=None, size=None, forge=False):
+    """Sign an attestation of ``artifact`` and return (attestation, pinned key).
+
+    ``listed_as`` and ``size`` change what the entry claims; with ``forge``
+    another key signs while the pinned key's fingerprint is carried.
+    """
+    import dataclasses
+
     from reprokit.attestation import (
-        ChecksumEntry, generate_signing_key, make_attestation,
+        ChecksumEntry, generate_signing_key, key_fingerprint, make_attestation,
         serialize_signed, sign_attestation,
     )
 
     data = artifact.read_bytes()
     entry = ChecksumEntry(
-        filename=artifact.name, size=len(data),
+        filename=listed_as or artifact.name, size=len(data) if size is None else size,
         sha1=hashlib.sha1(data).hexdigest(), sha256=hashlib.sha256(data).hexdigest(),
     )
     att = make_attestation(
         source="demo", version="1.0", architecture="all", checksums=[entry],
         depends=[], environment={}, builder_id="rebuilder-01",
     )
-    private_key, _ = generate_signing_key()
+    private_key, public_key = generate_signing_key()
+    signer = generate_signing_key()[0] if forge else private_key
+    signed = dataclasses.replace(sign_attestation(att, signer),
+                                 public_key_fingerprint=key_fingerprint(public_key))
     signed_path = tmp_path / "att.signed"
-    signed_path.write_bytes(serialize_signed(sign_attestation(att, private_key)))
-    return signed_path
+    signed_path.write_bytes(serialize_signed(signed))
+    pub_path = tmp_path / "builder.pub"
+    pub_path.write_bytes(public_key)
+    return signed_path, pub_path
+
+
+def attest_one_file(tmp_path, artifact: Path) -> Path:
+    """Sign an attestation that lists only ``artifact``, hashed independently."""
+    return signed_pair(tmp_path, artifact)[0]
 
 
 def test_verify_artifact_not_listed(tmp_path, capsys):
@@ -349,6 +365,109 @@ def test_verify_missing_artifact_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("claim,code,out,hashes", [
+    ({}, 0, "signature: ok\nverified: pkg.deb matches the attestation\n", 1),
+    ({"forge": True}, 1, "signature: INVALID\n", 0),
+    ({"listed_as": "other.deb"}, 1,
+     "signature: ok\nmismatch: pkg.deb is not listed in the attestation\n", 0),
+    ({"size": 9}, 1,
+     "signature: ok\nmismatch: pkg.deb does not match the attested checksums\n", 0),
+])
+def test_verify_hashes_only_after_the_cheap_checks(tmp_path, capsys, monkeypatch,
+                                                   claim, code, out, hashes):
+    artifact = tmp_path / "pkg.deb"
+    artifact.write_bytes(b"payload\n")
+    signed_path, pub_path = signed_pair(tmp_path, artifact, **claim)
+    real, calls = cli.checksum_file, []
+
+    def counting_checksum_file(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "checksum_file", counting_checksum_file)
+    assert cli.main(["verify", str(artifact), "--attestation", str(signed_path),
+                     "--pubkey", str(pub_path)]) == code
+    assert capsys.readouterr().out == out
+    assert len(calls) == hashes
+
+
+def test_verify_unreadable_artifact_is_refused_before_anything_is_printed(tmp_path, capsys):
+    artifact = tmp_path / "pkg.deb"
+    artifact.write_bytes(b"payload\n")
+    signed_path, pub_path = signed_pair(tmp_path, artifact)
+    artifact.unlink()
+    artifact.mkdir()
+    assert cli.main(["verify", str(artifact), "--attestation", str(signed_path),
+                     "--pubkey", str(pub_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read artifact file {artifact}: ")
+
+
+def test_parser_is_built_once_per_process_and_not_at_import(tmp_path):
+    script = (
+        "from reprokit import cli\n"
+        "assert cli._parser.cache_info().currsize == 0, 'built at import'\n"
+        "real, built = cli.build_parser, []\n"
+        "cli.build_parser = lambda: built.append(1) or real()\n"
+        "codes = [cli.main(['not-a-command']), cli.main(['fixtures', 'generate', '--all',\n"
+        "         '--dest', 'corpus']), cli.main(['--help'])]\n"
+        "assert codes == [3, 0, 0], codes\n"
+        "assert built == [1], built\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env=source_tree_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def run_alone(argv: list[str], cwd: Path) -> tuple[int, bytes]:
+    """Exit code and stdout of one ``cli.main`` call in a fresh interpreter."""
+    launcher = "import sys; from reprokit import cli; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv], capture_output=True,
+                          cwd=cwd, env=source_tree_env())
+    return proc.returncode, proc.stdout
+
+
+def repeated_call_cases(tmp_path) -> dict[str, list[list[str]]]:
+    archive = tmp_path / "a.tar"
+    archive.write_bytes(write_tar([Member(name="f", content=b"x", mtime=50, uid=77,
+                                          uname="alice")]))
+    good = hashlib.sha256(b"good").hexdigest()
+    store_dir = consensus_setup(tmp_path, [good, good])
+    listed = tmp_path / "pkg.deb"
+    listed.write_bytes(b"payload\n")
+    signed_path, pub_path = signed_pair(tmp_path, listed)
+    return {
+        "usage-error-then-valid": [
+            ["normalize", "--no-such-flag", str(archive)],
+            ["normalize", "--epoch", "100", str(archive), "-"],
+        ],
+        "keep-owners-then-default": [
+            ["normalize", "--epoch", "100", "--keep-owners", str(archive), "-"],
+            ["normalize", "--epoch", "100", str(archive), "-"],
+        ],
+        "verify-then-verdict": [
+            ["verify", str(listed), "--attestation", str(signed_path),
+             "--pubkey", str(pub_path)],
+            verdict_args(store_dir, good),
+        ],
+    }
+
+
+@pytest.mark.parametrize("case", ["usage-error-then-valid", "keep-owners-then-default",
+                                  "verify-then-verdict"])
+def test_repeated_main_calls_match_calls_made_alone(tmp_path, capsysbinary, case):
+    calls = repeated_call_cases(tmp_path)[case]
+    capsysbinary.readouterr()
+    alone = [run_alone(argv, tmp_path) for argv in calls]
+    together = []
+    for argv in calls:
+        code = cli.main(argv)
+        together.append((code, capsysbinary.readouterr().out))
+    assert together == alone
+    assert len({out for _, out in alone}) == len(alone)
 
 
 def test_attest_build_failure(tmp_path, capsys):
@@ -494,6 +613,16 @@ def test_usage_errors(capsys):
     assert "check" in out and "consensus" in out
 
 
+def source_tree_env() -> dict[str, str]:
+    """The environment with the imported source tree first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(reprokit.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_console_script_wiring(tmp_path):
     """`[project.scripts] reprokit` resolves to `cli.main` and runs as a launcher would."""
     tomllib = pytest.importorskip("tomllib")
@@ -503,11 +632,7 @@ def test_console_script_wiring(tmp_path):
     assert ep.load() is cli.main
 
     # Run the imported source tree, not some other installed copy.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(reprokit.__file__).resolve().parents[1]),
-                    env.get("PYTHONPATH")) if p
-    )
+    env = source_tree_env()
     # The body of the launcher script that pip generates for a console_scripts entry.
     launcher = f"import sys; from {ep.module} import {ep.attr}; sys.exit({ep.attr}())"
     proc = subprocess.run([sys.executable, "-c", launcher, "--help"],

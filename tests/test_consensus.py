@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from reprokit import consensus
 from reprokit.attestation import (
     ChecksumEntry,
     generate_signing_key,
@@ -147,6 +148,38 @@ def test_submit_replaces_prior_attestation(store):
     tally = store.tally("demo", "1.0", "all", "pkg.deb")
     assert tally.counts == {H_GOOD: 1}
     assert tally.total_builders == 1
+
+
+def test_failed_replace_leaves_the_earlier_entry_and_no_temporary_file(store, monkeypatch):
+    private_key, public_key = generate_signing_key()
+    store.register_builder("rebuilder-01", public_key)
+    store.submit(signed_attestation("rebuilder-01", private_key, {"pkg.deb": H_GOOD}))
+    group = store.root / "att" / "demo_1.0_all"
+    before = {p.name: p.read_bytes() for p in group.iterdir()}
+    tally = store.tally("demo", "1.0", "all", "pkg.deb")
+    moved = []
+
+    def failing_replace(src, dst):
+        moved.append((src, dst))
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(consensus.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        store.submit(signed_attestation("rebuilder-01", private_key, {"pkg.deb": H_BAD}))
+    [(src, dst)] = moved
+    assert dst == group / "rebuilder-01.buildinfo.signed"
+    assert src.parent == group
+    assert not src.name.endswith((".buildinfo.signed", ".pub"))
+    assert {p.name: p.read_bytes() for p in group.iterdir()} == before
+    assert store.tally("demo", "1.0", "all", "pkg.deb") == tally
+
+    _, other_public = generate_signing_key()
+    with pytest.raises(OSError, match="disk gone"):
+        store.register_builder("rebuilder-02", other_public)
+    src, dst = moved[-1]
+    assert (src.parent, dst) == (store.keys_dir, store.keys_dir / "rebuilder-02.pub")
+    assert not src.name.endswith((".buildinfo.signed", ".pub"))
+    assert sorted(p.name for p in store.keys_dir.iterdir()) == ["rebuilder-01.pub"]
 
 
 def test_load_detects_corruption(store):
