@@ -248,7 +248,11 @@ def _random_candidates(text: str, epochs: tuple[int, int]) -> set[str]:
         has_digits = sum(ch.isdigit() for ch in body) >= 2
         if not (is_digits or is_hex or has_digits):
             continue
-        if shannon_entropy(token) > 3.0:
+        # About 1 in 10 000 uniformly random 32-hex tokens (a 128-bit id or
+        # an MD5) has entropy <= 3.0, but none of 300 000 drawn fell to 2.5,
+        # so long hex tokens get the lower cut-off.
+        cutoff = 2.5 if is_hex and len(body) >= 32 else 3.0
+        if shannon_entropy(token) > cutoff:
             out.add(token)
     return out
 

@@ -22,8 +22,10 @@ import html
 import json
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
+from . import __version__
 from .attestation import (
     artifact_size,
     checksum_file,
@@ -345,6 +347,9 @@ def build_parser() -> _Parser:
         prog="reprokit",
         description="double-build reproducibility harness, differ, and attestation tools",
     )
+    # Normalized bytes depend on both: another zlib build may deflate differently.
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__} (zlib {zlib.ZLIB_RUNTIME_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
                                 metavar="<command>")
 

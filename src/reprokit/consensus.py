@@ -67,21 +67,22 @@ def _safe(name: str, what: str) -> str:
     return name
 
 
-def _replace_file(path: Path, data: bytes) -> None:
-    """Write ``data`` beside ``path`` under a temporary name, then move it
-    into place, so a reader sees the old bytes or the new and never a part.
+def _place_file(path: Path, data: bytes, place) -> None:
+    """Write ``data`` beside ``path`` under a temporary name, then put it at
+    ``path`` with ``place(tmp, path)``, so a reader sees the old bytes or the
+    new and never a part.
 
-    The temporary name ends in ``.tmp``, never in a suffix the store reads,
-    and is removed if the write or the move fails.
+    ``os.replace`` overwrites an existing ``path``; ``os.link`` raises
+    ``FileExistsError`` instead. The temporary name ends in ``.tmp``, never in
+    a suffix the store reads, and is always removed.
     """
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:
             f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        place(tmp, path)
+    finally:
         tmp.unlink(missing_ok=True)
-        raise
 
 
 class AttestationStore:
@@ -112,18 +113,23 @@ class AttestationStore:
         return self.att_dir / group
 
     def register_builder(self, builder_id: str, public_key: bytes) -> None:
-        """Pin a builder's key. Re-registering a different key is refused."""
+        """Pin a builder's key. Re-registering a different key is refused.
+
+        The key is linked into place, which fails if a key is already there,
+        so of two concurrent registrations of different keys exactly one
+        succeeds.
+        """
         if len(public_key) != 32:
             raise ValidationError("public key must be 32 raw Ed25519 bytes")
         path = self._key_path(builder_id)
-        if path.exists():
+        self.keys_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            _place_file(path, public_key, os.link)
+        except FileExistsError:
             if path.read_bytes() != public_key:
                 raise StoreError(
                     f"builder {builder_id!r} already registered with a different key"
-                )
-            return
-        self.keys_dir.mkdir(parents=True, exist_ok=True)
-        _replace_file(path, public_key)
+                ) from None
 
     def registered_key(self, builder_id: str) -> bytes:
         path = self._key_path(builder_id)
@@ -150,7 +156,8 @@ class AttestationStore:
             raise StoreError(f"rejected: bad signature from {att.builder_id!r}")
         group = self._group_dir(att.source, att.version, att.architecture)
         group.mkdir(parents=True, exist_ok=True)
-        _replace_file(group / f"{att.builder_id}{_SIGNED_SUFFIX}", serialize_signed(sa))
+        path = group / f"{att.builder_id}{_SIGNED_SUFFIX}"
+        _place_file(path, serialize_signed(sa), os.replace)
         return att
 
     def load(

@@ -7,8 +7,12 @@ they fill in host metadata). So this module owns the byte-level formats:
 
 * parsers that read the common output of ordinary tools strictly enough to
   reject corruption, with byte offsets in errors;
-* canonical writers whose output depends only on the member list passed in,
-  so equal logical archives always serialize to equal bytes.
+* canonical writers whose output depends only on the member list passed in
+  and on the zlib that deflates it, so equal logical archives always
+  serialize to equal bytes on one zlib build.
+
+Every deflated body, gzip or zip, is raw deflate at zlib level 6, the default
+of GNU ``gzip -n`` and ``git archive``.
 
 Members carry the union of the metadata the three formats support; fields a
 format lacks stay None. This module also owns the decisions every reader of
@@ -322,15 +326,24 @@ def parse_gzip(data: bytes) -> GzipStream:
     return GzipStream(payload=payload, mtime=mtime, filename=filename)
 
 
+def _deflate(data: bytes) -> bytes:
+    """The canonical deflate body: raw deflate (no zlib header) at level 6."""
+    comp = zlib.compressobj(level=6, wbits=-15)
+    return comp.compress(data) + comp.flush()
+
+
 def write_gzip(payload: bytes, mtime: int = 0, filename: str | None = None) -> bytes:
-    """Emit a canonical gzip file: level-9 deflate, XFL=2, OS byte 255."""
+    """Emit a canonical gzip file: level-6 deflate, XFL=0, OS byte 255.
+
+    XFL 0 because RFC 1952 reserves 2 for maximum and 4 for fastest
+    compression, and level 6 is neither.
+    """
     if not 0 <= mtime < 1 << 32:
         raise ValidationError("gzip mtime out of 32-bit range")
     flags = _GZIP_FNAME if filename is not None else 0
-    header = b"\x1f\x8b\x08" + bytes([flags]) + mtime.to_bytes(4, "little") + b"\x02\xff"
+    header = b"\x1f\x8b\x08" + bytes([flags]) + mtime.to_bytes(4, "little") + b"\x00\xff"
     name_field = filename.encode("latin-1") + b"\x00" if filename is not None else b""
-    comp = zlib.compressobj(level=9, wbits=-15)
-    body = comp.compress(payload) + comp.flush()
+    body = _deflate(payload)
     trailer = zlib.crc32(payload).to_bytes(4, "little")
     trailer += (len(payload) % (1 << 32)).to_bytes(4, "little")
     return header + name_field + body + trailer
@@ -470,7 +483,8 @@ def parse_zip_with_errors(data: bytes) -> tuple[list[Member], list[str]]:
 
 
 def write_zip(members: list[Member]) -> bytes:
-    """Emit a canonical zip: deflate level 9, no extra fields, no comments."""
+    """Emit a canonical zip: level-6 deflate for files, stored directories,
+    no extra fields, no comments."""
     locals_out: list[bytes] = []
     centrals: list[bytes] = []
     offset = 0
@@ -489,8 +503,7 @@ def write_zip(members: list[Member]) -> bytes:
         if m.is_dir:
             method, body = 0, b""
         else:
-            comp = zlib.compressobj(level=9, wbits=-15)
-            method, body = 8, comp.compress(m.content) + comp.flush()
+            method, body = 8, _deflate(m.content)
         crc = zlib.crc32(m.content)
         dos_date, dos_time = _unix_to_dos(m.mtime or 0)
         mode = m.mode if m.mode is not None else (0o755 if m.is_dir else 0o644)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import difflib
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -159,6 +160,22 @@ def test_randomness_rule_positive():
 
 def test_randomness_requires_entropy():
     f = one(b"id 111111111111111111\n", b"id 222222222222222222\n")
+    assert f.cause is not RootCause.RANDOMNESS
+
+
+def test_randomness_names_a_low_entropy_32_hex_token():
+    """About 1 in 10 000 random 32-hex tokens has entropy <= 3.0."""
+    rng = random.Random(11)
+    draws = ("%032x" % rng.getrandbits(128) for _ in range(10_000))
+    low = next(t for t in draws if shannon_entropy(t) <= 3.0)
+    other = "%032x" % rng.getrandbits(128)
+    f = one(f"token = {low}\n".encode(), f"token = {other}\n".encode())
+    assert f.cause is RootCause.RANDOMNESS
+    assert f.evidence == (low, other)
+
+
+def test_randomness_skips_a_32_digit_run_with_one_change():
+    f = one(b"id " + b"7" * 31 + b"1\n", b"id " + b"7" * 31 + b"2\n")
     assert f.cause is not RootCause.RANDOMNESS
 
 

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import zlib
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -653,3 +654,14 @@ def test_installed_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "reprokit" in proc.stdout, proc.stderr
+
+
+def test_version_names_reprokit_and_its_zlib(capsys):
+    """`--version` names both things normalized bytes depend on."""
+    assert cli.main(["--version"]) == 0
+    assert capsys.readouterr().out == (
+        f"reprokit {reprokit.__version__} (zlib {zlib.ZLIB_RUNTIME_VERSION})\n"
+    )
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == reprokit.__version__

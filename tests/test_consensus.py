@@ -173,6 +173,8 @@ def test_failed_replace_leaves_the_earlier_entry_and_no_temporary_file(store, mo
     assert {p.name: p.read_bytes() for p in group.iterdir()} == before
     assert store.tally("demo", "1.0", "all", "pkg.deb") == tally
 
+    # A key is pinned by linking, not renaming, its temporary file into place.
+    monkeypatch.setattr(consensus.os, "link", failing_replace)
     _, other_public = generate_signing_key()
     with pytest.raises(OSError, match="disk gone"):
         store.register_builder("rebuilder-02", other_public)
@@ -180,6 +182,35 @@ def test_failed_replace_leaves_the_earlier_entry_and_no_temporary_file(store, mo
     assert (src.parent, dst) == (store.keys_dir, store.keys_dir / "rebuilder-02.pub")
     assert not src.name.endswith((".buildinfo.signed", ".pub"))
     assert sorted(p.name for p in store.keys_dir.iterdir()) == ["rebuilder-01.pub"]
+
+
+def test_conflicting_registrations_pin_exactly_one_key(store, monkeypatch):
+    """A second registration runs between the first's temporary write and its
+    link: the one that links first wins, and the other is refused."""
+    _, first = generate_signing_key()
+    _, second = generate_signing_key()
+    real_link = consensus.os.link
+    outcomes = {}
+
+    def register(name, key):
+        try:
+            store.register_builder("rebuilder-01", key)
+            outcomes[name] = "pinned"
+        except StoreError:
+            outcomes[name] = "refused"
+
+    def link_after_a_rival(src, dst):
+        monkeypatch.setattr(consensus.os, "link", real_link)
+        register("second", second)
+        real_link(src, dst)
+
+    monkeypatch.setattr(consensus.os, "link", link_after_a_rival)
+    register("first", first)
+    assert outcomes == {"second": "pinned", "first": "refused"}
+    assert store.registered_key("rebuilder-01") == second
+    assert [p.name for p in store.keys_dir.iterdir()] == ["rebuilder-01.pub"]
+    store.register_builder("rebuilder-01", second)
+    assert store.registered_key("rebuilder-01") == second
 
 
 def test_load_detects_corruption(store):

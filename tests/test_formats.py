@@ -367,3 +367,66 @@ def test_parse_zip_rejects_crc_mismatch():
 def test_parse_zip_rejects_missing_eocd():
     with pytest.raises(FormatError):
         parse_zip(b"PK\x03\x04" + b"\x00" * 40)
+
+
+def raw_deflate_level6(data: bytes) -> bytes:
+    """This host's zlib at the canonical setting, the oracle for every body."""
+    comp = zlib.compressobj(6, wbits=-15)
+    return comp.compress(data) + comp.flush()
+
+
+def source_like(seed: int) -> bytes:
+    """Varied, repetitive text, which levels 6 and 9 deflate differently."""
+    rng = random.Random(seed)
+    return "".join(
+        f"def func_{rng.randrange(1000)}(value, other={rng.randrange(100)}):\n"
+        f"    return value * {rng.randrange(10**6)} + other\n"
+        for _ in range(300)
+    ).encode()
+
+
+CANONICAL_PAYLOADS = [
+    b"",
+    b"a",
+    b"text line\n" * 3000,
+    source_like(6),
+    random.Random(6).randbytes(20_000),
+]
+
+
+@pytest.mark.parametrize("filename,flags", [(None, 0), ("x.tar", 8)])
+def test_write_gzip_header_bytes(filename, flags):
+    data = write_gzip(b"payload", mtime=77, filename=filename)
+    assert data[:3] == b"\x1f\x8b\x08"
+    assert data[3] == flags
+    assert data[4:8] == (77).to_bytes(4, "little")
+    assert data[8] == 0  # XFL: neither maximum (2) nor fastest (4) compression
+    assert data[9] == 255  # OS: unknown
+    assert data[10:].startswith(b"x.tar\x00" if filename else b"")
+
+
+@pytest.mark.parametrize("payload", CANONICAL_PAYLOADS, ids=len)
+def test_write_gzip_body_is_level_6_raw_deflate(payload):
+    data = write_gzip(payload, filename="n")
+    assert data[12:-8] == raw_deflate_level6(payload)
+
+
+def test_write_zip_bodies_are_level_6_raw_deflate():
+    members = [Member(name="d/", content=b"", is_dir=True, mtime=0)] + [
+        Member(name=f"f{i}", content=payload, mtime=0)
+        for i, payload in enumerate(CANONICAL_PAYLOADS)
+    ]
+    data = write_zip(members)
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        infos = zf.infolist()
+    assert [i.filename for i in infos] == [m.name for m in members]
+    for info, member in zip(infos, members):
+        local = info.header_offset
+        name_len, extra_len = struct.unpack("<HH", data[local + 26:local + 30])
+        start = local + 30 + name_len + extra_len
+        body = data[start:start + info.compress_size]
+        if member.is_dir:
+            assert (info.compress_type, body) == (zipfile.ZIP_STORED, b"")
+        else:
+            assert info.compress_type == zipfile.ZIP_DEFLATED
+            assert body == raw_deflate_level6(member.content)

@@ -6,9 +6,12 @@ import gzip as gzip_mod
 import io
 import random
 import tarfile
+import time
 import zipfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reprokit.errors import FormatError, ValidationError
 from reprokit.formats import Member, parse_gzip, parse_tar, parse_zip, write_tar
@@ -277,3 +280,57 @@ def test_random_convergence_same_logical_content():
         outs = {normalize_bytes(r, POLICY) for r in raws}
         assert len(outs) == 1
         assert [m.content for m in parse_tar(outs.pop())] == [d for _, d in files]
+
+
+_CONTENTS = st.one_of(
+    st.binary(max_size=3000),
+    st.builds(lambda unit, n: unit * n, st.binary(min_size=1, max_size=24), st.integers(1, 300)),
+)
+
+#: Unique member names, each with contents and an mtime zip's DOS date can hold.
+_MEMBERS = st.lists(
+    st.tuples(
+        st.from_regex(r"([a-z]{1,4}/)?[a-z][a-z0-9_.-]{0,15}", fullmatch=True),
+        _CONTENTS,
+        st.integers(315_532_800, 2**31 - 1),
+    ),
+    min_size=1, max_size=6, unique_by=lambda m: m[0],
+)
+
+
+def _stdlib_container(kind: str, members, level: int) -> bytes:
+    """``members`` written by the standard library at deflate ``level``."""
+    if kind == "zip":
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            for name, data, mtime in members:
+                stamp = time.gmtime(mtime)[:6]
+                zf.writestr(zipfile.ZipInfo(name, stamp), data,
+                            compress_type=zipfile.ZIP_DEFLATED, compresslevel=level)
+        return buf.getvalue()
+    tar = stdlib_tar([(n, d, m, 1000, 100, "u", "g", 0o664) for n, d, m in members])
+    return gzip_mod.compress(tar, compresslevel=level, mtime=max(m for _, _, m in members))
+
+
+def _stdlib_leaves(kind: str, data: bytes) -> dict[str, bytes]:
+    if kind == "zip":
+        with zipfile.ZipFile(io.BytesIO(data)) as zf:
+            return {name: zf.read(name) for name in zf.namelist()}
+    with tarfile.open(fileobj=io.BytesIO(gzip_mod.decompress(data))) as tf:
+        return {m.name: tf.extractfile(m).read() for m in tf.getmembers()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["tar.gz", "zip"]), _MEMBERS, st.integers(1, 9), st.integers(1, 9),
+       st.randoms(use_true_random=False))
+def test_normalized_output_is_canonical_whatever_the_input_level(
+    kind, members, level_a, level_b, rng
+):
+    """Any input level, in any member order, normalizes to the same bytes;
+    the stdlib reads those back to the same leaves, and they are a fixed point."""
+    shuffled = list(members)
+    rng.shuffle(shuffled)
+    out = normalize_bytes(_stdlib_container(kind, members, level_a), POLICY)
+    assert _stdlib_leaves(kind, out) == {name: data for name, data, _ in members}
+    assert normalize_bytes(out, POLICY) == out
+    assert normalize_bytes(_stdlib_container(kind, shuffled, level_b), POLICY) == out
