@@ -179,6 +179,12 @@ def validate_attestation(att: Attestation) -> None:
             raise ValidationError("checksums must be strictly sorted by filename")
         prev = key
 
+    _check_lists(att)
+
+
+def _check_lists(att: Attestation) -> None:
+    """The dependency and environment invariants, which the buildinfo line
+    grammar does not enforce on its own."""
     prev = None
     for dep in att.depends:
         if not _PKGNAME_RE.fullmatch(dep.name):
@@ -200,6 +206,25 @@ def validate_attestation(att: Attestation) -> None:
         if prev is not None and key <= prev:
             raise ValidationError("environment keys must be strictly sorted")
         prev = key
+
+
+def _check_parsed(att: Attestation) -> None:
+    """``validate_attestation`` for an attestation read by ``parse_buildinfo``.
+
+    The parser's line grammar already holds every scalar to be nonempty and
+    unpadded, and every checksum line to a well-formed digest, size and
+    filename, so only the checks it cannot make line by line remain, raised
+    in ``validate_attestation``'s order.
+    """
+    if not _is_token(att.version):
+        raise ValidationError("Version must not contain whitespace")
+    prev: bytes | None = None
+    for entry in att.checksums:
+        key = entry.filename.encode()
+        if prev is not None and key <= prev:
+            raise ValidationError("checksums must be strictly sorted by filename")
+        prev = key
+    _check_lists(att)
 
 
 @contextlib.contextmanager
@@ -318,8 +343,13 @@ def _scan_fields(text: str) -> list[tuple[str, object, int]]:
 
 
 def _parse_checksum_items(
-    items: list[tuple[str, int]], digest_re: re.Pattern, hex_len: int
+    items: list[tuple[str, int]],
+    digest_re: re.Pattern,
+    hex_len: int,
+    checked: frozenset[str] = frozenset(),
 ) -> list[tuple[str, int, str]]:
+    """(digest, size, filename) per checksum line; filenames in ``checked``
+    have passed ``_check_filename`` already."""
     out = []
     for line, line_no in items:
         if not line.startswith("  ") or line[2:3] == " ":
@@ -330,12 +360,13 @@ def _parse_checksum_items(
         digest, size_s, filename = tokens
         if not digest_re.fullmatch(digest):
             raise ParseError(f"bad {hex_len}-char hex digest", line_no)
-        if not size_s.isdigit() or size_s != str(int(size_s)):
+        if not size_s.isdecimal() or size_s != str(int(size_s)):
             raise ParseError("bad size", line_no)
-        try:
-            _check_filename(filename)
-        except ValidationError as err:
-            raise ParseError(str(err), line_no) from err
+        if filename not in checked:
+            try:
+                _check_filename(filename)
+            except ValidationError as err:
+                raise ParseError(str(err), line_no) from err
         out.append((digest, int(size_s), filename))
     return out
 
@@ -369,7 +400,9 @@ def parse_buildinfo(data: bytes) -> Attestation:
         raise ParseError("fields out of canonical order")
 
     sha1_items = _parse_checksum_items(seen["Checksums-Sha1"][0], _SHA1_RE, 40)
-    sha256_items = _parse_checksum_items(seen["Checksums-Sha256"][0], SHA256_HEX, 64)
+    sha256_items = _parse_checksum_items(
+        seen["Checksums-Sha256"][0], SHA256_HEX, 64, frozenset(f for _, _, f in sha1_items)
+    )
     if [(f, s) for _, s, f in sha1_items] != [(f, s) for _, s, f in sha256_items]:
         raise ParseError("Checksums-Sha1 and Checksums-Sha256 disagree on files or sizes")
     checksums = tuple(
@@ -401,7 +434,7 @@ def parse_buildinfo(data: bytes) -> Attestation:
         builder_id=seen["Builder-Id"][0],
     )
     try:
-        validate_attestation(att)
+        _check_parsed(att)
     except ValidationError as err:
         raise ParseError(str(err)) from err
     return att

@@ -121,6 +121,10 @@ def unpack(data: bytes, fmt: Format) -> list[Member]:
 #: the localization copies more than a block of either input.
 _BLOCK = 1 << 16
 
+#: A block that differs is compared again in sub-blocks of this many bytes,
+#: and only the sub-blocks that differ are XORed and scanned.
+_SUB_BLOCK = 1 << 12
+
 #: A run of equal bytes this long ends a cluster: in the XOR of two blocks
 #: it is a run of zero bytes.
 _RESYNC_GAP = bytes(_RESYNC_WINDOW)
@@ -149,30 +153,39 @@ def _make_range(a: bytes, b: bytes, offset: int, la: int, lb: int) -> ByteRange:
     )
 
 
+def _xor(a: bytes, b: bytes) -> bytes:
+    """Bytewise XOR of two equal-length inputs: equal bytes become zeros."""
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
+
+
 def _differing_spans(a: bytes, b: bytes):
     """Yield (start, end) of each differing stretch of two equal-length inputs.
 
-    Within one block, a stretch runs from a differing byte to just past the
-    last differing byte before the next run of ``_RESYNC_WINDOW`` equal
-    bytes; stretches of adjacent blocks are left to the caller to merge.
-    Blocks that compare equal are skipped whole. A differing block is XORed,
-    so equal bytes become zeros that ``bytes.find`` and a regex scan in C.
+    Within one sub-block, a stretch runs from a differing byte to just past
+    the last differing byte before the next run of ``_RESYNC_WINDOW`` equal
+    bytes; stretches of adjacent sub-blocks are left to the caller to merge.
+    Blocks, and then sub-blocks, that compare equal are skipped whole. A
+    differing sub-block is XORed, so equal bytes become zeros that
+    ``bytes.find`` and a regex scan in C.
     """
     for start in range(0, len(a), _BLOCK):
-        block_a, block_b = a[start:start + _BLOCK], b[start:start + _BLOCK]
-        if block_a == block_b:
+        end = min(start + _BLOCK, len(a))
+        if a[start:end] == b[start:end]:
             continue
-        xor = (
-            int.from_bytes(block_a, "little") ^ int.from_bytes(block_b, "little")
-        ).to_bytes(len(block_a), "little")
-        found = _NONZERO.search(xor)
-        while found:
-            gap = xor.find(_RESYNC_GAP, found.start())
-            if gap < 0:
-                yield start + found.start(), start + len(xor.rstrip(b"\x00"))
-                break
-            yield start + found.start(), start + gap
-            found = _NONZERO.search(xor, gap)
+        for sub in range(start, end, _SUB_BLOCK):
+            sub_end = min(sub + _SUB_BLOCK, end)
+            sub_a, sub_b = a[sub:sub_end], b[sub:sub_end]
+            if sub_a == sub_b:
+                continue
+            xor = _xor(sub_a, sub_b)
+            found = _NONZERO.search(xor)
+            while found:
+                gap = xor.find(_RESYNC_GAP, found.start())
+                if gap < 0:
+                    yield sub + found.start(), sub + len(xor.rstrip(b"\x00"))
+                    break
+                yield sub + found.start(), sub + gap
+                found = _NONZERO.search(xor, gap)
 
 
 def _common_length(same, limit: int) -> int:
@@ -323,6 +336,9 @@ def _compare_members(
             )
             continue
         ma, mb = index_a[name], index_b[name]
+        if ma == mb:
+            children.append(DiffNode(child_path, detect_format(ma.content), Status.SAME, None))
+            continue
         content_node = compare_bytes(ma.content, mb.content, child_path, depth + 1)
         meta = _meta_entries(ma, mb)
         if meta:
@@ -366,10 +382,10 @@ def compare_bytes(a: bytes, b: bytes, path: str = "artifact", depth: int = 0) ->
     deeper than ``MAX_NESTING`` levels is not opened: its node is closed out
     with whole-payload ranges and a depth_limited marker.
     """
+    if a == b:
+        return DiffNode(path=path, format=detect_format(a), status=Status.SAME, detail=None)
     fmt_a, fmt_b = detect_format(a), detect_format(b)
     fmt = fmt_a if fmt_a is fmt_b else Format.BINARY
-    if a == b:
-        return DiffNode(path=path, format=fmt, status=Status.SAME, detail=None)
     if fmt_a is fmt_b and fmt_a in CONTAINERS:
         if depth > MAX_NESTING:
             return DiffNode(

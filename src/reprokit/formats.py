@@ -23,6 +23,7 @@ containers are opened, and which member fields count as metadata.
 from __future__ import annotations
 
 import enum
+import struct
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -101,25 +102,30 @@ class Member:
 # -- ustar ------------------------------------------------------------------
 
 
+#: The ustar header fields ``parse_tar`` reads, as raw bytes: name, mode,
+#: uid, gid, size, mtime, chksum, typeflag, magic, uname, gname and prefix.
+#: Skipped are linkname, version, devmajor and devminor.
+_TAR_HEADER = struct.Struct("100s8s8s8s12s12s8sc100x5s3x32s32s16x155s")
+
+
 def _tar_octal(raw: bytes, offset: int, what: str) -> int:
-    text = raw.rstrip(b"\x00 ").lstrip(b" ")
-    if text == b"":
-        return 0
     try:
-        value = int(text, 8)
+        return int(raw.rstrip(b"\x00 ").lstrip(b" ") or b"0", 8)
     except ValueError:
         raise FormatError(f"bad octal {what} field {raw!r}", offset) from None
-    return value
 
 
 def _tar_string(raw: bytes, offset: int, what: str) -> str:
-    end = raw.find(b"\x00")
-    if end >= 0:
-        raw = raw[:end]
     try:
-        return raw.decode("utf-8")
+        return raw.partition(b"\x00")[0].decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"undecodable {what} field", offset) from None
+
+
+def _byte_sum(span: bytes) -> int:
+    """Sum of at most 256 bytes. Adler-32's low half is 1 plus the byte sum
+    modulo 65521, and 256 bytes sum to at most 65280, so it is exact."""
+    return (zlib.adler32(span) & 0xFFFF) - 1
 
 
 def parse_tar(data: bytes) -> list[Member]:
@@ -139,25 +145,27 @@ def parse_tar(data: bytes) -> list[Member]:
             if data[pos:].strip(b"\x00") != b"":
                 raise FormatError("data after end-of-archive marker", pos)
             return members
-        if block[257:262] != b"ustar":
+        (name_raw, mode, uid, gid, size_raw, mtime, chksum, typeflag, magic,
+         uname, gname, prefix_raw) = _TAR_HEADER.unpack_from(block)
+        if magic != b"ustar":
             raise FormatError("bad magic (not a ustar header)", pos + 257)
-        stored_sum = _tar_octal(block[148:156], pos + 148, "chksum")
-        actual_sum = sum(block[:148]) + 8 * 0x20 + sum(block[156:])
+        stored_sum = _tar_octal(chksum, pos + 148, "chksum")
+        # The checksum counts its own field as eight spaces.
+        actual_sum = _byte_sum(block[:256]) + _byte_sum(block[256:]) - sum(chksum) + 8 * 0x20
         if stored_sum != actual_sum:
             raise FormatError(
                 f"header checksum mismatch (stored {stored_sum}, actual {actual_sum})",
                 pos + 148,
             )
-        typeflag = block[156:157]
         if typeflag not in (b"0", b"\x00", b"5"):
             raise FormatError(f"unsupported member type {typeflag!r}", pos + 156)
-        name = _tar_string(block[0:100], pos, "name")
-        prefix = _tar_string(block[345:500], pos + 345, "prefix")
+        name = _tar_string(name_raw, pos, "name")
+        prefix = _tar_string(prefix_raw, pos + 345, "prefix")
         if prefix:
             name = prefix + "/" + name
         if not name:
             raise FormatError("empty member name", pos)
-        size = _tar_octal(block[124:136], pos + 124, "size")
+        size = _tar_octal(size_raw, pos + 124, "size")
         content_start = pos + TAR_BLOCK
         content_end = content_start + size
         padded_end = content_start + ((size + TAR_BLOCK - 1) // TAR_BLOCK) * TAR_BLOCK
@@ -167,12 +175,12 @@ def parse_tar(data: bytes) -> list[Member]:
             Member(
                 name=name,
                 content=data[content_start:content_end],
-                mtime=_tar_octal(block[136:148], pos + 136, "mtime"),
-                uid=_tar_octal(block[108:116], pos + 108, "uid"),
-                gid=_tar_octal(block[116:124], pos + 116, "gid"),
-                uname=_tar_string(block[265:297], pos + 265, "uname"),
-                gname=_tar_string(block[297:329], pos + 297, "gname"),
-                mode=_tar_octal(block[100:108], pos + 100, "mode"),
+                mtime=_tar_octal(mtime, pos + 136, "mtime"),
+                uid=_tar_octal(uid, pos + 108, "uid"),
+                gid=_tar_octal(gid, pos + 116, "gid"),
+                uname=_tar_string(uname, pos + 265, "uname"),
+                gname=_tar_string(gname, pos + 297, "gname"),
+                mode=_tar_octal(mode, pos + 100, "mode"),
                 is_dir=typeflag == b"5",
             )
         )
@@ -355,6 +363,16 @@ _ZIP_LOCAL_SIG = b"PK\x03\x04"
 _ZIP_CENTRAL_SIG = b"PK\x01\x02"
 _ZIP_EOCD_SIG = b"PK\x05\x06"
 
+#: From the end-of-central-directory record: this disk's number, the
+#: central directory's disk, its entry count and its offset.
+_ZIP_EOCD = struct.Struct("<4xHH2xH4xI")
+#: A central-directory entry's 46 fixed bytes: signature, version made by,
+#: flags, method, DOS time and date, CRC-32, compressed size, name, extra
+#: and comment lengths, external attributes and local header offset.
+_ZIP_CENTRAL = struct.Struct("<4sH2xHHHHII4xHHH4xII")
+#: A local header's signature and its name and extra lengths.
+_ZIP_LOCAL = struct.Struct("<4s22xHH")
+
 
 def _dos_to_unix(dos_date: int, dos_time: int, offset: int) -> int:
     year = 1980 + (dos_date >> 9)
@@ -402,54 +420,53 @@ def parse_zip(data: bytes) -> list[Member]:
     return members
 
 
+def _unpack_padded(fields: struct.Struct, data: bytes, pos: int) -> tuple:
+    """``fields`` read at ``pos``. Bytes past the end of ``data`` read as
+    zeros, so a little-endian field cut short keeps its low bytes and a
+    record cut short fails the checks on its fields, not the decode."""
+    if pos + fields.size <= len(data):
+        return fields.unpack_from(data, pos)
+    return fields.unpack(data[pos:pos + fields.size].ljust(fields.size, b"\x00"))
+
+
 def parse_zip_with_errors(data: bytes) -> tuple[list[Member], list[str]]:
     eocd = _zip_find_eocd(data)
     if len(data) - eocd < 22:
         raise FormatError("truncated end-of-central-directory record", eocd)
-    disk_no = int.from_bytes(data[eocd + 4:eocd + 6], "little")
-    cd_disk = int.from_bytes(data[eocd + 6:eocd + 8], "little")
+    disk_no, cd_disk, entry_count, cd_offset = _ZIP_EOCD.unpack_from(data, eocd)
     if disk_no != 0 or cd_disk != 0:
         raise FormatError("multi-disk zip archives unsupported", eocd + 4)
-    entry_count = int.from_bytes(data[eocd + 10:eocd + 12], "little")
-    cd_offset = int.from_bytes(data[eocd + 16:eocd + 20], "little")
 
     members: list[Member] = []
     errors: list[str] = []
     pos = cd_offset
     for _ in range(entry_count):
-        if data[pos:pos + 4] != _ZIP_CENTRAL_SIG:
+        (sig, version_made_by, flags, method, dos_time, dos_date, crc, comp_size,
+         name_len, extra_len, comment_len, external_attr, local_offset,
+         ) = _unpack_padded(_ZIP_CENTRAL, data, pos)
+        if sig != _ZIP_CENTRAL_SIG:
             raise FormatError("bad central-directory entry signature", pos)
-        version_made_by = int.from_bytes(data[pos + 4:pos + 6], "little")
-        flags = int.from_bytes(data[pos + 8:pos + 10], "little")
-        method = int.from_bytes(data[pos + 10:pos + 12], "little")
-        dos_time = int.from_bytes(data[pos + 12:pos + 14], "little")
-        dos_date = int.from_bytes(data[pos + 14:pos + 16], "little")
-        crc = int.from_bytes(data[pos + 16:pos + 20], "little")
-        comp_size = int.from_bytes(data[pos + 20:pos + 24], "little")
-        name_len = int.from_bytes(data[pos + 28:pos + 30], "little")
-        extra_len = int.from_bytes(data[pos + 30:pos + 32], "little")
-        comment_len = int.from_bytes(data[pos + 32:pos + 34], "little")
-        external_attr = int.from_bytes(data[pos + 38:pos + 42], "little")
-        local_offset = int.from_bytes(data[pos + 42:pos + 46], "little")
         name_raw = data[pos + 46:pos + 46 + name_len]
         if len(name_raw) != name_len:
             raise FormatError("truncated central-directory entry", pos)
-        encoding = "utf-8" if flags & 0x800 else "cp437"
-        name = name_raw.decode(encoding)
+        try:
+            name = name_raw.decode("utf-8" if flags & 0x800 else "cp437")
+        except UnicodeDecodeError:
+            raise FormatError("undecodable zip member name", pos + 46) from None
         if not name:
             raise FormatError("empty zip member name", pos + 46)
+        time_offset = pos + 12
         pos += 46 + name_len + extra_len + comment_len
 
-        if data[local_offset:local_offset + 4] != _ZIP_LOCAL_SIG:
+        sig, l_name_len, l_extra_len = _unpack_padded(_ZIP_LOCAL, data, local_offset)
+        if sig != _ZIP_LOCAL_SIG:
             raise FormatError("bad local header signature", local_offset)
-        l_name_len = int.from_bytes(data[local_offset + 26:local_offset + 28], "little")
-        l_extra_len = int.from_bytes(data[local_offset + 28:local_offset + 30], "little")
         data_start = local_offset + 30 + l_name_len + l_extra_len
         raw = data[data_start:data_start + comp_size]
         if len(raw) != comp_size:
             raise FormatError("truncated member data", data_start)
 
-        mtime = _dos_to_unix(dos_date, dos_time, pos)
+        mtime = _dos_to_unix(dos_date, dos_time, time_offset)
         mode = (external_attr >> 16) & 0xFFFF
         is_dir = name.endswith("/")
         creator_unix = (version_made_by >> 8) == 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import random
 import tracemalloc
 
@@ -366,6 +367,8 @@ def test_parse_rejects_malformed(mutate, needle):
         (6, "  {sha256} 6", 6, "checksum line must be"),
         (6, "  {sha256_upper} 6 a.txt", 6, "64-char hex digest"),
         (6, "  {sha256} 06 a.txt", 6, "bad size"),
+        (4, "  {sha1} \u00b2 a.txt", 4, "bad size"),
+        (6, "  {sha256} 6 dir/a.txt", 6, "basename"),
         (7, "", 7, "blank line"),
         (7, "Build-Architecture all", 7, "Field: value"),
         (9, " gcc (=12.2)", 9, "dependency line"),
@@ -386,6 +389,66 @@ def test_parse_error_line_numbers(lineno, text, line, needle):
         parse_buildinfo(("\n".join(lines) + "\n").encode("utf-8"))
     assert err.value.line == line
     assert needle in str(err.value)
+
+
+# Faults the line grammar lets through, each a change to a valid attestation
+# that validate_attestation rejects.
+_SEMANTIC_FAULTS = {
+    "version whitespace": lambda a: dataclasses.replace(a, version="1.0\u30001"),
+    "checksums unsorted": lambda a: dataclasses.replace(a, checksums=a.checksums[::-1]),
+    "dependency name": lambda a: dataclasses.replace(
+        a, depends=(DependencyPin("Gcc", "12"),) + a.depends[1:]),
+    "dependency version": lambda a: dataclasses.replace(
+        a, depends=a.depends[:1] + (DependencyPin("make", "4\u30002"),)),
+    "depends unsorted": lambda a: dataclasses.replace(a, depends=a.depends[::-1]),
+    "environment name": lambda a: dataclasses.replace(
+        a, environment=a.environment[:1] + (("9TZ", "UTC"),)),
+    "environment value": lambda a: dataclasses.replace(
+        a, environment=(("LANG", "C\\x"),) + a.environment[1:]),
+    "environment unsorted": lambda a: dataclasses.replace(a, environment=a.environment[::-1]),
+}
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [(name,) for name in _SEMANTIC_FAULTS]
+    + [pair for pair in itertools.combinations(_SEMANTIC_FAULTS, 2)],
+    ids=" + ".join,
+)
+def test_parse_rejects_what_validate_rejects_with_the_same_message(faults, monkeypatch):
+    att = make_attestation(
+        source="demo", version="1.0", architecture="all",
+        checksums=[entry_for("a.txt", b"a"), entry_for("b.txt", b"b")],
+        depends=[DependencyPin("gcc", "12"), DependencyPin("make", "4")],
+        environment={"LANG": "C", "TZ": "UTC"}, builder_id="builder-1",
+    )
+    for name in faults:
+        att = _SEMANTIC_FAULTS[name](att)
+    with pytest.raises(ValidationError) as expected:
+        validate_attestation(att)
+    with monkeypatch.context() as mp:
+        mp.setattr(attestation, "validate_attestation", lambda att: None)
+        data = serialize_buildinfo(att)
+    with pytest.raises(ParseError) as err:
+        parse_buildinfo(data)
+    assert err.value.line is None
+    assert str(err.value) == str(expected.value)
+
+
+def test_parse_checks_each_filename_once(monkeypatch):
+    att = make_attestation(
+        source="demo", version="1.0", architecture="all",
+        checksums=[entry_for(f"{i}.bin", b"") for i in range(5)],
+        depends=[], environment={}, builder_id="builder-1",
+    )
+    data = serialize_buildinfo(att)
+    checked = []
+    check_filename = attestation._check_filename
+    monkeypatch.setattr(
+        attestation, "_check_filename", lambda f: (checked.append(f), check_filename(f))
+    )
+    assert parse_buildinfo(data) == att
+    assert checked == [f"{i}.bin" for i in range(5)]
 
 
 def _has_whitespace_oracle(text: str) -> bool:

@@ -163,10 +163,12 @@ def walk_byte_ranges(a: bytes, b: bytes) -> ByteRanges:
 
 @st.composite
 def byte_pairs(draw):
-    """A block size to compare with and two inputs that differ around it:
-    scattered flips, combs of flips 63 to 67 bytes apart, flips at block
-    boundaries, zeroed spans, and insertions or deletions."""
+    """Block and sub-block sizes to compare with and two inputs that differ
+    around them: scattered flips, combs of flips 63 to 67 bytes apart, flips
+    at block and sub-block boundaries, zeroed spans, and insertions or
+    deletions."""
     block = draw(st.sampled_from([1, 2, 63, 64, 65, 200, compare._BLOCK]))
+    sub_block = draw(st.sampled_from([1, 63, 64, 65, compare._SUB_BLOCK]))
     size = draw(st.integers(0, max(3 * block + 70, 4000)))
     base = draw(st.sampled_from(["zero", "random", "cycle"]))
     if base == "zero":
@@ -180,7 +182,8 @@ def byte_pairs(draw):
     def position() -> int:
         if draw(st.booleans()):
             return draw(st.integers(0, max(size - 1, 0)))
-        near = draw(st.integers(0, size // block)) * block + draw(st.integers(-2, 2))
+        unit = draw(st.sampled_from([block, sub_block]))
+        near = draw(st.integers(0, size // unit)) * unit + draw(st.integers(-2, 2))
         return min(max(near, 0), max(size - 1, 0))
 
     for _ in range(draw(st.integers(0, 6)) if size else 0):
@@ -202,7 +205,7 @@ def byte_pairs(draw):
         else:
             del b[at:at + draw(st.integers(1, 100))]
     pair = (a, bytes(b))
-    return block, pair if draw(st.booleans()) else pair[::-1]
+    return block, sub_block, pair if draw(st.booleans()) else pair[::-1]
 
 
 def _comb(size: int, start: int, gap: int, count: int) -> tuple[bytes, bytes]:
@@ -215,23 +218,35 @@ def _comb(size: int, start: int, gap: int, count: int) -> tuple[bytes, bytes]:
 
 @settings(max_examples=300, deadline=None)
 @given(byte_pairs())
-@example((200, _comb(600, 10, 63, 5)))
-@example((200, _comb(600, 10, 64, 5)))
-@example((200, _comb(600, 10, 65, 5)))
-@example((64, _comb(600, 60, 64, 5)))
-@example((compare._BLOCK, _comb(3 * compare._BLOCK, compare._BLOCK - 100, 64, 40)))
-@example((compare._BLOCK, (b"", bytes(100))))
-@example((1, (b"abc", b"")))
-@example((64, (bytes(300), bytes(100) + b"\x01" * 50 + bytes(150))))
-@example((200, _comb(3000, 10, 64, 32)))
-@example((200, _comb(3000, 10, 64, 33)))
-@example((200, _comb(5050, 10, 64, 100)))
-@example((200, _comb(5050, 44, 64, 100)))
-@example((compare._BLOCK, _comb(2 * compare._BLOCK + 300, 10, 64, 3000)))
+@example((200, compare._SUB_BLOCK, _comb(600, 10, 63, 5)))
+@example((200, compare._SUB_BLOCK, _comb(600, 10, 64, 5)))
+@example((200, compare._SUB_BLOCK, _comb(600, 10, 65, 5)))
+@example((64, compare._SUB_BLOCK, _comb(600, 60, 64, 5)))
+@example((compare._BLOCK, compare._SUB_BLOCK, _comb(3 * compare._BLOCK, compare._BLOCK - 100, 64, 40)))
+@example((compare._BLOCK, compare._SUB_BLOCK, (b"", bytes(100))))
+@example((1, compare._SUB_BLOCK, (b"abc", b"")))
+@example((64, compare._SUB_BLOCK, (bytes(300), bytes(100) + b"\x01" * 50 + bytes(150))))
+@example((200, compare._SUB_BLOCK, _comb(3000, 10, 64, 32)))
+@example((200, compare._SUB_BLOCK, _comb(3000, 10, 64, 33)))
+@example((200, compare._SUB_BLOCK, _comb(5050, 10, 64, 100)))
+@example((200, compare._SUB_BLOCK, _comb(5050, 44, 64, 100)))
+@example((compare._BLOCK, compare._SUB_BLOCK, _comb(2 * compare._BLOCK + 300, 10, 64, 3000)))
+@example((200, 64, _comb(600, 63, 64, 8)))
+@example((200, 63, _comb(600, 62, 65, 8)))
+@example((64, 1, _comb(600, 10, 63, 5)))
+@example((compare._BLOCK, 65, _comb(2 * compare._BLOCK, compare._BLOCK - 65, 64, 10)))
+@example((compare._BLOCK, compare._SUB_BLOCK,
+          _comb(3 * compare._BLOCK, compare._SUB_BLOCK - 1, compare._SUB_BLOCK - 1, 40)))
+@example((compare._BLOCK, compare._SUB_BLOCK, _comb(3 * compare._BLOCK, compare._BLOCK - 1, 0, 2)))
+@example((compare._BLOCK, compare._SUB_BLOCK,
+          _comb(2 * compare._BLOCK, compare._SUB_BLOCK - 30, 63, 2)))
+@example((compare._BLOCK, compare._SUB_BLOCK,
+          _comb(2 * compare._BLOCK, compare._SUB_BLOCK - 30, 64, 2)))
 def test_byte_ranges_matches_per_byte_walk(case):
-    block, (a, b) = case
+    block, sub_block, (a, b) = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compare, "_BLOCK", block)
+        mp.setattr(compare, "_SUB_BLOCK", sub_block)
         assert byte_ranges(a, b) == walk_byte_ranges(a, b)
 
 
@@ -252,6 +267,21 @@ def test_byte_ranges_stops_clustering_past_the_cap():
         got = byte_ranges(a, b)
     assert len(seen) == compare._MAX_RANGES + 1
     assert got == walk_byte_ranges(a, b)
+
+
+def test_byte_ranges_xors_only_the_differing_sub_blocks():
+    a = random.Random(12).randbytes(16 << 20)
+    b = bytearray(a)
+    flips = sorted(random.Random(13).sample(range(len(a)), 24))
+    for p in flips:
+        b[p] ^= 0x5A
+    xored = []
+    xor = compare._xor
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compare, "_xor", lambda x, y: (xored.append(len(x)), xor(x, y))[1])
+        got = byte_ranges(a, bytes(b))
+    assert [r.offset for r in got.ranges] == flips
+    assert sum(xored) <= 24 * compare._SUB_BLOCK
 
 
 @pytest.mark.parametrize("edit", ["insert", "flip"])

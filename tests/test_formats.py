@@ -13,6 +13,7 @@ import zlib
 
 import pytest
 
+from reprokit import formats
 from reprokit.errors import FormatError, ValidationError
 from reprokit.formats import (
     Member,
@@ -430,3 +431,283 @@ def test_write_zip_bodies_are_level_6_raw_deflate():
         else:
             assert info.compress_type == zipfile.ZIP_DEFLATED
             assert body == raw_deflate_level6(member.content)
+
+
+def central_entry_offsets(data: bytes) -> list[int]:
+    """Where each central-directory entry starts, read with stdlib ``struct``."""
+    eocd = data.rindex(b"PK\x05\x06")
+    count, offset = struct.unpack_from("<H4xI", data, eocd + 10)
+    offsets = []
+    for _ in range(count):
+        offsets.append(offset)
+        name_len, extra_len, comment_len = struct.unpack_from("<HHH", data, offset + 28)
+        offset += 46 + name_len + extra_len + comment_len
+    return offsets
+
+
+def test_invalid_dos_timestamp_names_the_entry_time_field():
+    when = (2020, 1, 1, 0, 0, 0)
+    data = bytearray(stdlib_zip([
+        ("first.txt", b"one", when, 0o644, zipfile.ZIP_STORED),
+        ("second.txt", b"two", when, 0o644, zipfile.ZIP_STORED),
+    ]))
+    entry = central_entry_offsets(bytes(data))[1]
+    dos_date = int.from_bytes(data[entry + 14:entry + 16], "little")
+    data[entry + 14:entry + 16] = (dos_date & ~(0xF << 5)).to_bytes(2, "little")  # month 0
+    with pytest.raises(FormatError) as err:
+        parse_zip(bytes(data))
+    assert "invalid DOS timestamp" in str(err.value)
+    assert err.value.offset == entry + 12
+
+
+def test_undecodable_utf8_zip_name_is_a_format_error():
+    data = bytearray(stdlib_zip([("café.txt", b"x", (2020, 1, 1, 0, 0, 0), 0o644, zipfile.ZIP_STORED)]))
+    entry = central_entry_offsets(bytes(data))[0]
+    data[entry + 46 + 3] = 0xFF  # the first byte of "é"
+    with pytest.raises(FormatError) as err:
+        parse_zip(bytes(data))
+    assert err.value.offset == entry + 46
+
+
+# -- header decode against the field-by-field reader it replaced -----------
+
+
+def _reference_octal(raw: bytes, offset: int, what: str) -> int:
+    text = raw.rstrip(b"\x00 ").lstrip(b" ")
+    if text == b"":
+        return 0
+    try:
+        return int(text, 8)
+    except ValueError:
+        raise FormatError(f"bad octal {what} field {raw!r}", offset) from None
+
+
+def _reference_string(raw: bytes, offset: int, what: str) -> str:
+    end = raw.find(b"\x00")
+    if end >= 0:
+        raw = raw[:end]
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"undecodable {what} field", offset) from None
+
+
+def reference_parse_tar(data: bytes) -> list[Member]:
+    """``parse_tar`` as it read headers one slice and one helper at a time."""
+    members = []
+    pos = 0
+    while True:
+        if pos + 512 > len(data):
+            raise FormatError("truncated header block", pos)
+        block = data[pos:pos + 512]
+        if block == b"\x00" * 512:
+            if data[pos:].strip(b"\x00") != b"":
+                raise FormatError("data after end-of-archive marker", pos)
+            return members
+        if block[257:262] != b"ustar":
+            raise FormatError("bad magic (not a ustar header)", pos + 257)
+        stored_sum = _reference_octal(block[148:156], pos + 148, "chksum")
+        actual_sum = sum(block[:148]) + 8 * 0x20 + sum(block[156:])
+        if stored_sum != actual_sum:
+            raise FormatError(
+                f"header checksum mismatch (stored {stored_sum}, actual {actual_sum})", pos + 148
+            )
+        typeflag = block[156:157]
+        if typeflag not in (b"0", b"\x00", b"5"):
+            raise FormatError(f"unsupported member type {typeflag!r}", pos + 156)
+        name = _reference_string(block[0:100], pos, "name")
+        prefix = _reference_string(block[345:500], pos + 345, "prefix")
+        if prefix:
+            name = prefix + "/" + name
+        if not name:
+            raise FormatError("empty member name", pos)
+        size = _reference_octal(block[124:136], pos + 124, "size")
+        content_start = pos + 512
+        padded_end = content_start + ((size + 511) // 512) * 512
+        if padded_end > len(data):
+            raise FormatError("truncated member content", content_start)
+        members.append(Member(
+            name=name,
+            content=data[content_start:content_start + size],
+            mtime=_reference_octal(block[136:148], pos + 136, "mtime"),
+            uid=_reference_octal(block[108:116], pos + 108, "uid"),
+            gid=_reference_octal(block[116:124], pos + 116, "gid"),
+            uname=_reference_string(block[265:297], pos + 265, "uname"),
+            gname=_reference_string(block[297:329], pos + 297, "gname"),
+            mode=_reference_octal(block[100:108], pos + 100, "mode"),
+            is_dir=typeflag == b"5",
+        ))
+        pos = padded_end
+
+
+def reference_parse_zip(data: bytes) -> tuple[list[Member], list[str]]:
+    """``parse_zip_with_errors`` as it read each field with ``int.from_bytes``
+    on a slice, with two faults mended: the timestamp error names the entry's
+    time field, and an undecodable UTF-8 name is a ``FormatError``."""
+
+    def le(start: int, width: int) -> int:
+        return int.from_bytes(data[start:start + width], "little")
+
+    eocd = data.rfind(b"PK\x05\x06", max(0, len(data) - 65557))
+    if eocd < 0:
+        raise FormatError("no end-of-central-directory record", len(data))
+    if len(data) - eocd < 22:
+        raise FormatError("truncated end-of-central-directory record", eocd)
+    if le(eocd + 4, 2) != 0 or le(eocd + 6, 2) != 0:
+        raise FormatError("multi-disk zip archives unsupported", eocd + 4)
+    members, errors = [], []
+    pos = le(eocd + 16, 4)
+    for _ in range(le(eocd + 10, 2)):
+        if data[pos:pos + 4] != b"PK\x01\x02":
+            raise FormatError("bad central-directory entry signature", pos)
+        name_len = le(pos + 28, 2)
+        name_raw = data[pos + 46:pos + 46 + name_len]
+        if len(name_raw) != name_len:
+            raise FormatError("truncated central-directory entry", pos)
+        try:
+            name = name_raw.decode("utf-8" if le(pos + 8, 2) & 0x800 else "cp437")
+        except UnicodeDecodeError:
+            raise FormatError("undecodable zip member name", pos + 46) from None
+        if not name:
+            raise FormatError("empty zip member name", pos + 46)
+        entry = pos
+        pos += 46 + name_len + le(pos + 30, 2) + le(pos + 32, 2)
+        local = le(entry + 42, 4)
+        if data[local:local + 4] != b"PK\x03\x04":
+            raise FormatError("bad local header signature", local)
+        data_start = local + 30 + le(local + 26, 2) + le(local + 28, 2)
+        comp_size = le(entry + 20, 4)
+        raw = data[data_start:data_start + comp_size]
+        if len(raw) != comp_size:
+            raise FormatError("truncated member data", data_start)
+        mtime = formats._dos_to_unix(le(entry + 14, 2), le(entry + 12, 2), entry + 12)
+        mode = (le(entry + 38, 4) >> 16) & 0xFFFF
+        mode = mode if le(entry + 4, 2) >> 8 == 3 and mode else None
+        is_dir = name.endswith("/")
+        method = le(entry + 10, 2)
+        if method not in (0, 8):
+            errors.append(f"{name}: unsupported compression method {method}")
+            members.append(Member(name=name, content=b"", mtime=mtime, mode=mode, is_dir=is_dir))
+            continue
+        content = raw
+        if method == 8:
+            try:
+                decomp = zlib.decompressobj(wbits=-15)
+                content = decomp.decompress(raw) + decomp.flush()
+            except zlib.error as err:
+                raise FormatError(f"corrupt deflate stream in {name}: {err}", data_start) from None
+        if not is_dir and zlib.crc32(content) != le(entry + 16, 4):
+            raise FormatError(f"CRC mismatch for member {name}", data_start)
+        members.append(Member(name=name, content=content, mtime=mtime, mode=mode, is_dir=is_dir))
+    return members, errors
+
+
+def outcome(parse, data: bytes):
+    """What a parser makes of ``data``: its result, or a FormatError's message
+    and offset. Any other exception propagates and fails the test."""
+    try:
+        return "parsed", parse(data)
+    except FormatError as err:
+        return "error", str(err), err.offset
+
+
+def parse_tar_gz(parse_payload):
+    return lambda data: parse_payload(parse_gzip(data).payload)
+
+
+def header_corruptions(data: bytes, spans: list[tuple[int, int]]):
+    """Each byte of each span set to a few values that reach different
+    checks: NUL, space, octal and non-octal digits, a high byte, bit flips."""
+    for start, end in spans:
+        for at in range(start, end):
+            for value in {0x00, 0x20, 0x30, 0x37, 0x38, 0xFF, data[at] ^ 0x01, data[at] ^ 0x80}:
+                if value != data[at]:
+                    yield data[:at] + bytes([value]) + data[at + 1:]
+
+
+def with_tar_checksum(data: bytes, header: int) -> bytes:
+    """``data`` with the header at ``header`` given a checksum matching its
+    bytes, so that a corruption reaches the checks after the checksum."""
+    block = bytearray(data[header:header + 512])
+    block[148:156] = b" " * 8
+    block[148:156] = format(sum(block), "06o").encode() + b"\x00 "
+    return data[:header] + bytes(block) + data[header + 512:]
+
+
+ROBUSTNESS_TAR = stdlib_tar([
+    ("docs", None, 1_600_000_000, 0, 0, "root", "root", 0o755),
+    ("d" * 60 + "/" + "e" * 60 + ".txt", b"hello tar\n" * 60, 1_600_000_123, 1000, 100, "alice", "users", 0o644),
+    ("empty.bin", b"", 7, 2, 3, "u", "g", 0o600),
+])
+ROBUSTNESS_TAR_HEADERS = [0, 512, 2048]
+ROBUSTNESS_ZIP = stdlib_zip([
+    ("docs", None, (2020, 9, 13, 12, 26, 40), 0o755, zipfile.ZIP_STORED),
+    ("docs/a.txt", b"zip payload\n" * 20, (2020, 9, 13, 12, 26, 40), 0o644, zipfile.ZIP_DEFLATED),
+    ("café.bin", b"stored", (1999, 1, 2, 3, 4, 6), 0o600, zipfile.ZIP_STORED),
+])
+
+
+def test_robustness_inputs_parse_as_written():
+    assert [m.name for m in parse_tar(ROBUSTNESS_TAR)] == [
+        "docs/", "d" * 60 + "/" + "e" * 60 + ".txt", "empty.bin"]
+    assert [h for h in range(0, len(ROBUSTNESS_TAR), 512)
+            if ROBUSTNESS_TAR[h + 257:h + 262] == b"ustar"] == ROBUSTNESS_TAR_HEADERS
+    assert ROBUSTNESS_TAR[512 + 345:512 + 405] == b"d" * 60  # the prefix field is used
+    assert [m.name for m in parse_zip(ROBUSTNESS_ZIP)] == ["docs/", "docs/a.txt", "café.bin"]
+
+
+def test_tar_header_of_high_bytes_parses_as_the_reference():
+    # Every field full, of bytes 0xC3 and 0xBF ("ÿ" in UTF-8) or 0xFF: sums
+    # that overflow Adler-32's modulus unless taken in spans of 256 bytes.
+    prefix, name = "ÿ" * 77 + "a", "ÿ" * 50
+    data = stdlib_tar([(prefix + "/" + name, b"x", 0o7777777, 0o777, 0o777, "ÿ" * 16, "ÿ" * 16, 0o777)])
+    block = bytearray(data[:512])
+    assert block[345:500] == prefix.encode() and block[0:100] == name.encode()
+    for start, end in [(157, 257), (263, 265), (329, 345), (500, 512)]:
+        block[start:end] = b"\xff" * (end - start)  # fields parse_tar does not read
+    data = with_tar_checksum(bytes(block) + data[512:], 0)
+    assert sum(data[148:512]) > 65521
+    assert outcome(parse_tar, data) == outcome(reference_parse_tar, data)
+    assert parse_tar(data)[0].name == prefix + "/" + name
+
+
+@pytest.mark.parametrize(
+    "parse,reference,data",
+    [
+        (parse_tar, reference_parse_tar, ROBUSTNESS_TAR),
+        (parse_tar_gz(parse_tar), parse_tar_gz(reference_parse_tar),
+         gzip_mod.compress(ROBUSTNESS_TAR, mtime=0)),
+        (parse_zip_with_errors, reference_parse_zip, ROBUSTNESS_ZIP),
+    ],
+    ids=["tar", "tar.gz", "zip"],
+)
+def test_every_prefix_parses_or_fails_as_the_reference(parse, reference, data):
+    for end in range(len(data) + 1):
+        assert outcome(parse, data[:end]) == outcome(reference, data[:end]), end
+
+
+def test_tar_header_corruptions_parse_or_fail_as_the_reference():
+    for header in ROBUSTNESS_TAR_HEADERS:
+        for corrupt in header_corruptions(ROBUSTNESS_TAR, [(header, header + 500)]):
+            assert outcome(parse_tar, corrupt) == outcome(reference_parse_tar, corrupt)
+            resummed = with_tar_checksum(corrupt, header)
+            assert outcome(parse_tar, resummed) == outcome(reference_parse_tar, resummed)
+
+
+def test_tar_gz_header_corruptions_parse_or_fail_as_the_reference():
+    data = gzip_mod.compress(ROBUSTNESS_TAR, mtime=0)
+    for corrupt in header_corruptions(data, [(0, 10), (len(data) - 8, len(data))]):
+        assert outcome(parse_tar_gz(parse_tar), corrupt) == \
+            outcome(parse_tar_gz(reference_parse_tar), corrupt)
+
+
+def test_zip_header_corruptions_parse_or_fail_as_the_reference():
+    data = ROBUSTNESS_ZIP
+    entries = central_entry_offsets(data)
+    locals_ = [int.from_bytes(data[e + 42:e + 46], "little") for e in entries]
+    eocd = data.rindex(b"PK\x05\x06")
+    names = [int.from_bytes(data[e + 28:e + 30], "little") for e in entries]
+    spans = [(e, e + 46 + n) for e, n in zip(entries, names)]
+    spans += [(h, h + 30) for h in locals_] + [(eocd, eocd + 22)]
+    for corrupt in header_corruptions(data, spans):
+        assert outcome(parse_zip_with_errors, corrupt) == outcome(reference_parse_zip, corrupt)
