@@ -19,6 +19,7 @@ import enum
 import html
 import itertools
 import json
+import operator
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -103,15 +104,16 @@ class DiffNode:
     depth_limited: bool = False
 
 
-def unpack(data: bytes, fmt: Format) -> list[Member]:
-    """Open one container level. Gzip yields a single pseudo-member."""
+def unpack(data: bytes, fmt: Format, seen: dict | None = None) -> list[Member]:
+    """Open one container level. Gzip yields a single pseudo-member; ``seen``
+    goes to the tar and zip parsers."""
     if fmt is Format.GZIP:
         gs = parse_gzip(data)
         return [Member(name=gs.filename or "data", content=gs.payload, mtime=gs.mtime)]
     if fmt is Format.TAR:
-        return parse_tar(data)
+        return parse_tar(data, seen)
     if fmt is Format.ZIP:
-        return parse_zip(data)
+        return parse_zip(data, seen)
     raise FormatError(f"{fmt.value} is not a container format")
 
 
@@ -255,6 +257,18 @@ def byte_ranges(a: bytes, b: bytes) -> ByteRanges:
 # -- tree construction ------------------------------------------------------
 
 
+def _same_lines(lines_a: list[str], lines_b: list[str]) -> bool:
+    """Whether two line lists of equal length hold each line equally often.
+
+    When one side's lines are all distinct, equal sets settle it: the other
+    side then has as many lines, all drawn from that set and covering it.
+    """
+    distinct = set(lines_a)
+    if len(distinct) == len(lines_a):
+        return distinct == set(lines_b)
+    return sorted(lines_a) == sorted(lines_b)
+
+
 def _text_diff(a: bytes, b: bytes) -> TextDiff | None:
     """Hunks of two texts, or None when their lines are equal.
 
@@ -266,10 +280,10 @@ def _text_diff(a: bytes, b: bytes) -> TextDiff | None:
     lines_b = b.decode("utf-8").splitlines()
     if lines_a == lines_b:
         return None
-    if len(lines_a) == len(lines_b) and sorted(lines_a) == sorted(lines_b):
-        moved = [i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y]
-        summary = f"@@ ordering differences only: {len(moved)} of {len(lines_a)} lines moved @@"
-        i = moved[0]
+    if len(lines_a) == len(lines_b) and _same_lines(lines_a, lines_b):
+        moved = sum(map(operator.ne, lines_a, lines_b))
+        summary = f"@@ ordering differences only: {moved} of {len(lines_a)} lines moved @@"
+        i = next(i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y)
         return TextDiff((summary, f"-{lines_a[i]}", f"+{lines_b[i]}"), ordering_only=True)
     lines = difflib.unified_diff(lines_a, lines_b, lineterm="")
     # The first two lines are the ---/+++ file headers.
@@ -303,10 +317,16 @@ def _compare_members(
     path: str,
     depth: int,
 ) -> DiffNode | None:
-    """Container comparison; None means fall back to a byte comparison."""
+    """Container comparison; None means fall back to a byte comparison.
+
+    The two sides are parsed through one dict made for this call, so side B
+    reuses side A's decoded record wherever their raw bytes match. The dict
+    goes when the call ends: kept longer, it would hold A's bytes alive.
+    """
+    seen: dict = {}
     try:
-        members_a = unpack(a, fmt)
-        members_b = unpack(b, fmt)
+        members_a = unpack(a, fmt, seen)
+        members_b = unpack(b, fmt, seen)
     except FormatError:
         return None
     if fmt is Format.GZIP:
@@ -336,7 +356,7 @@ def _compare_members(
             )
             continue
         ma, mb = index_a[name], index_b[name]
-        if ma == mb:
+        if ma is mb or ma == mb:
             children.append(DiffNode(child_path, detect_format(ma.content), Status.SAME, None))
             continue
         content_node = compare_bytes(ma.content, mb.content, child_path, depth + 1)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 from .errors import FormatError, ValidationError
@@ -128,12 +128,28 @@ def _byte_sum(span: bytes) -> int:
     return (zlib.adler32(span) & 0xFFFF) - 1
 
 
-def parse_tar(data: bytes) -> list[Member]:
+def _tar_content(data: bytes, pos: int, size: int) -> tuple[bytes, int]:
+    """The content of the member whose header block is at ``pos``, and the
+    offset of the block after its padding."""
+    start = pos + TAR_BLOCK
+    end = start + ((size + TAR_BLOCK - 1) // TAR_BLOCK) * TAR_BLOCK
+    if end > len(data):
+        raise FormatError("truncated member content", start)
+    return data[start:start + size], end
+
+
+def parse_tar(data: bytes, seen: dict | None = None) -> list[Member]:
     """Read a ustar archive into members, in archive order.
 
     Accepts POSIX and GNU magic, verifies every header checksum, and allows
     only regular-file and directory entries. Trailing zero padding of any
     length is accepted after the end-of-archive marker.
+
+    ``seen``, when given, maps header blocks to the members decoded from
+    them, and each block this call decodes is added to it. One shared by the
+    two sides of a comparison spares the second side decoding any header
+    the first side decoded, and where the content is equal too, the second
+    side gets the first side's member itself.
     """
     members: list[Member] = []
     pos = 0
@@ -145,6 +161,11 @@ def parse_tar(data: bytes) -> list[Member]:
             if data[pos:].strip(b"\x00") != b"":
                 raise FormatError("data after end-of-archive marker", pos)
             return members
+        known = seen.get(block) if seen is not None else None
+        if known is not None:
+            content, pos = _tar_content(data, pos, len(known.content))
+            members.append(known if content == known.content else replace(known, content=content))
+            continue
         (name_raw, mode, uid, gid, size_raw, mtime, chksum, typeflag, magic,
          uname, gname, prefix_raw) = _TAR_HEADER.unpack_from(block)
         if magic != b"ustar":
@@ -166,25 +187,22 @@ def parse_tar(data: bytes) -> list[Member]:
         if not name:
             raise FormatError("empty member name", pos)
         size = _tar_octal(size_raw, pos + 124, "size")
-        content_start = pos + TAR_BLOCK
-        content_end = content_start + size
-        padded_end = content_start + ((size + TAR_BLOCK - 1) // TAR_BLOCK) * TAR_BLOCK
-        if padded_end > len(data):
-            raise FormatError("truncated member content", content_start)
-        members.append(
-            Member(
-                name=name,
-                content=data[content_start:content_end],
-                mtime=_tar_octal(mtime, pos + 136, "mtime"),
-                uid=_tar_octal(uid, pos + 108, "uid"),
-                gid=_tar_octal(gid, pos + 116, "gid"),
-                uname=_tar_string(uname, pos + 265, "uname"),
-                gname=_tar_string(gname, pos + 297, "gname"),
-                mode=_tar_octal(mode, pos + 100, "mode"),
-                is_dir=typeflag == b"5",
-            )
+        content, next_pos = _tar_content(data, pos, size)
+        member = Member(
+            name=name,
+            content=content,
+            mtime=_tar_octal(mtime, pos + 136, "mtime"),
+            uid=_tar_octal(uid, pos + 108, "uid"),
+            gid=_tar_octal(gid, pos + 116, "gid"),
+            uname=_tar_string(uname, pos + 265, "uname"),
+            gname=_tar_string(gname, pos + 297, "gname"),
+            mode=_tar_octal(mode, pos + 100, "mode"),
+            is_dir=typeflag == b"5",
         )
-        pos = padded_end
+        if seen is not None:
+            seen[block] = member
+        members.append(member)
+        pos = next_pos
 
 
 def _tar_number_field(value: int, width: int, what: str) -> bytes:
@@ -408,15 +426,22 @@ def _zip_find_eocd(data: bytes) -> int:
     return idx
 
 
-def parse_zip(data: bytes) -> list[Member]:
+def parse_zip(data: bytes, seen: dict | None = None) -> list[Member]:
     """Read a zip archive into members, in central-directory order.
 
     Needs stored or deflated entries with a usable central directory; each
     entry's CRC is verified. A member using any other compression method is
     returned with empty content and counted as undecodable by the caller's
     policy (its metadata is still real).
+
+    ``seen``, when given, maps an entry's central-directory record, less its
+    local header offset, and its compressed bytes to the member decoded from
+    them, and each entry this call decodes without error is added to it. One
+    shared by the two sides of a comparison gives the second side the first
+    side's member for every entry whose record and compressed bytes match,
+    wherever it sits, without inflating it again.
     """
-    members, _ = parse_zip_with_errors(data)
+    members, _ = parse_zip_with_errors(data, seen)
     return members
 
 
@@ -429,7 +454,9 @@ def _unpack_padded(fields: struct.Struct, data: bytes, pos: int) -> tuple:
     return fields.unpack(data[pos:pos + fields.size].ljust(fields.size, b"\x00"))
 
 
-def parse_zip_with_errors(data: bytes) -> tuple[list[Member], list[str]]:
+def parse_zip_with_errors(
+    data: bytes, seen: dict | None = None
+) -> tuple[list[Member], list[str]]:
     eocd = _zip_find_eocd(data)
     if len(data) - eocd < 22:
         raise FormatError("truncated end-of-central-directory record", eocd)
@@ -455,8 +482,7 @@ def parse_zip_with_errors(data: bytes) -> tuple[list[Member], list[str]]:
             raise FormatError("undecodable zip member name", pos + 46) from None
         if not name:
             raise FormatError("empty zip member name", pos + 46)
-        time_offset = pos + 12
-        pos += 46 + name_len + extra_len + comment_len
+        entry, pos = pos, pos + 46 + name_len + extra_len + comment_len
 
         sig, l_name_len, l_extra_len = _unpack_padded(_ZIP_LOCAL, data, local_offset)
         if sig != _ZIP_LOCAL_SIG:
@@ -465,8 +491,16 @@ def parse_zip_with_errors(data: bytes) -> tuple[list[Member], list[str]]:
         raw = data[data_start:data_start + comp_size]
         if len(raw) != comp_size:
             raise FormatError("truncated member data", data_start)
+        if seen is not None:
+            # Without the local header offset (entry + 42), an entry matches
+            # wherever the other archive put it.
+            key = (data[entry:entry + 42], data[entry + 46:pos], raw)
+            known = seen.get(key)
+            if known is not None:
+                members.append(known)
+                continue
 
-        mtime = _dos_to_unix(dos_date, dos_time, time_offset)
+        mtime = _dos_to_unix(dos_date, dos_time, entry + 12)
         mode = (external_attr >> 16) & 0xFFFF
         is_dir = name.endswith("/")
         creator_unix = (version_made_by >> 8) == 3
@@ -490,12 +524,13 @@ def parse_zip_with_errors(data: bytes) -> tuple[list[Member], list[str]]:
             continue
         if not is_dir and zlib.crc32(content) != crc:
             raise FormatError(f"CRC mismatch for member {name}", data_start)
-        members.append(
-            Member(
-                name=name, content=content, mtime=mtime,
-                mode=mode if creator_unix and mode else None, is_dir=is_dir,
-            )
+        member = Member(
+            name=name, content=content, mtime=mtime,
+            mode=mode if creator_unix and mode else None, is_dir=is_dir,
         )
+        if seen is not None:
+            seen[key] = member
+        members.append(member)
     return members, errors
 
 

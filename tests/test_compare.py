@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import difflib
 import gzip as gzip_mod
+import importlib.util
 import io
+import itertools
 import json
 import random
 import tarfile
 import tracemalloc
 import zipfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reprokit import compare
+from reprokit import compare, formats
 from reprokit.compare import (
     ByteRange,
     ByteRanges,
@@ -31,11 +35,15 @@ from reprokit.compare import (
     node_to_json,
     render_report,
 )
+from reprokit.errors import FormatError
 from reprokit.formats import (
     MAX_NESTING,
     META_FIELDS,
     Member,
     parse_gzip,
+    parse_tar,
+    parse_zip,
+    parse_zip_with_errors,
     write_gzip,
     write_tar,
     write_zip,
@@ -354,6 +362,52 @@ def test_compare_bytes_text_ordering_only_needs_equal_multisets():
     assert "-a" in node.detail.hunks and "+b" in node.detail.hunks
 
 
+def reference_text_diff(a: bytes, b: bytes) -> TextDiff | None:
+    """``_text_diff`` with the ordering test it had first: sorted lists
+    compared, and every moved position listed."""
+    lines_a = a.decode("utf-8").splitlines()
+    lines_b = b.decode("utf-8").splitlines()
+    if lines_a == lines_b:
+        return None
+    if len(lines_a) == len(lines_b) and sorted(lines_a) == sorted(lines_b):
+        moved = [i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y]
+        summary = f"@@ ordering differences only: {len(moved)} of {len(lines_a)} lines moved @@"
+        i = moved[0]
+        return TextDiff((summary, f"-{lines_a[i]}", f"+{lines_b[i]}"), ordering_only=True)
+    lines = difflib.unified_diff(lines_a, lines_b, lineterm="")
+    return TextDiff(tuple(itertools.islice(lines, 2, None)))
+
+
+@st.composite
+def line_lists(draw):
+    """Two line lists: a permutation, the same set of lines with one count
+    moved to another line, or unrelated lines. Few distinct lines, so most
+    lists repeat some."""
+    line = st.text(alphabet="ab ", max_size=2)
+    first = draw(st.lists(line, max_size=12))
+    kind = draw(st.sampled_from(["permuted", "recounted", "unrelated"]))
+    if kind == "unrelated":
+        second = draw(st.lists(line, max_size=12))
+    else:
+        second = list(first)
+        if kind == "recounted" and len(set(first)) > 1:
+            at = draw(st.integers(0, len(first) - 1))
+            second[at] = draw(st.sampled_from(sorted(set(first) - {first[at]})))
+        second = draw(st.permutations(second))
+    return ("\n".join(first) + "\n").encode(), ("\n".join(second) + "\n").encode()
+
+
+@given(line_lists())
+@example((b"a\na\nb\n", b"a\nb\nb\n"))  # same set, counts differ
+@example((b"a\nb\nc\n", b"a\na\nb\n"))  # distinct against repeated
+@example((b"a\na\nb\n", b"b\na\na\n"))  # repeated lines, permuted
+@example((b"a\nb\nc\n", b"c\na\nb\n"))  # distinct lines, permuted
+@settings(max_examples=300, deadline=None)
+def test_text_diff_matches_the_sorted_oracle(pair):
+    a, b = pair
+    assert compare._text_diff(a, b) == reference_text_diff(a, b)
+
+
 @pytest.mark.parametrize("a,b", [
     (b"x\ny\n", b"x\r\ny\r\n"),
     (b"x\ny\n", b"x\ny"),
@@ -531,6 +585,246 @@ def test_compare_corrupt_container_falls_back():
     node = compare_bytes(bytes(a), bytes(b))
     assert node.children == ()
     assert isinstance(node.detail, ByteRanges)
+
+
+# -- the two sides of a container parsed as a pair --------------------------
+
+
+def stdlib_archive(kind: str, entries) -> bytes:
+    """A tar (USTAR) or zip written by the standard library. entries:
+    (name, data, mtime, mode, zip method)."""
+    buf = io.BytesIO()
+    if kind == "tar":
+        with tarfile.open(fileobj=buf, mode="w", format=tarfile.USTAR_FORMAT) as tf:
+            for name, data, mtime, mode, _ in entries:
+                info = tarfile.TarInfo(name)
+                info.mtime, info.mode, info.size = mtime, mode, len(data)
+                tf.addfile(info, io.BytesIO(data))
+    else:
+        with zipfile.ZipFile(buf, "w") as zf:
+            for name, data, mtime, mode, method in entries:
+                info = zipfile.ZipInfo(name, (1980 + mtime % 100, 1, 1, 0, 0, 0))
+                info.external_attr, info.compress_type = mode << 16, method
+                zf.writestr(info, data)
+    return buf.getvalue()
+
+
+#: Each shared member of the second side is kept, or given other content of
+#: the same length (a tar header that matches over different content), or
+#: another mtime or mode (a name that matches over other metadata), or dropped.
+_EDITS = ("keep", "content", "mtime", "mode", "drop")
+
+
+@st.composite
+def archive_pairs(draw):
+    kind = draw(st.sampled_from(["tar", "zip"]))
+    methods = [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2]
+    first = [
+        (f"m{i}.bin", draw(st.binary(min_size=1, max_size=600)), draw(st.integers(0, 99)),
+         draw(st.sampled_from([0o644, 0o755])), draw(st.sampled_from(methods)))
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    second = []
+    for name, data, mtime, mode, method in first:
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "content":
+            data = bytes([data[0] ^ 0xFF]) + data[1:]
+        elif edit == "mtime":
+            mtime = (mtime + 1) % 100
+        elif edit == "mode":
+            mode ^= 0o111
+        if edit != "drop":
+            second.append((name, data, mtime, mode, method))
+    # A new member in front shifts every shared member to another offset.
+    added = draw(st.integers(0, 2))
+    second[:0] = [(f"new{i}.bin", b"n" * (700 * i + 1), 0, 0o644, zipfile.ZIP_DEFLATED)
+                  for i in range(added)]
+    second = draw(st.permutations(second))
+    return kind, stdlib_archive(kind, first), stdlib_archive(kind, second)
+
+
+def _without_seen(data, fmt, seen=None, _unpack=compare.unpack):
+    return _unpack(data, fmt)
+
+
+@given(archive_pairs())
+@settings(max_examples=150, deadline=None)
+def test_second_side_parses_as_alone_and_reports_as_without_the_dict(pair):
+    kind, a, b = pair
+    parse = parse_tar if kind == "tar" else parse_zip_with_errors
+    seen: dict = {}
+    parse(a, seen)
+    assert parse(b, seen) == parse(b)
+    node = compare_bytes(a, b, path=f"x.{kind}")
+    with mock.patch.object(compare, "unpack", _without_seen):
+        alone = compare_bytes(a, b, path=f"x.{kind}")
+    for style in ReportStyle:
+        assert render_report(node, style) == render_report(alone, style)
+
+
+def test_second_side_reuses_the_first_sides_members():
+    shared = [(f"f{i}.txt", b"line %d\n" % i * 40, 10, 0o644, zipfile.ZIP_DEFLATED)
+              for i in range(4)]
+    edited = ("f1.txt", b"LINE 1\n" + b"line 1\n" * 39, 10, 0o644, zipfile.ZIP_DEFLATED)
+    front = ("front.txt", b"new\n" * 100, 10, 0o644, zipfile.ZIP_DEFLATED)
+    for kind, parse in (("tar", parse_tar), ("zip", parse_zip)):
+        a = stdlib_archive(kind, shared)
+        b = stdlib_archive(kind, [front, shared[0], edited, *shared[2:]])
+        seen: dict = {}
+        first = parse(a, seen)
+        second = parse(b, seen)
+        assert second == parse(b)
+        # The tar header of f1 is shared but not its content; the zip entry
+        # of f1 shares neither its CRC nor its compressed bytes.
+        assert [m is n for m, n in zip(first, second[1:])] == [True, False, True, True]
+
+
+def _zip_body_offset(data: bytes) -> int:
+    """Where the first member's compressed bytes start (its local header at 0)."""
+    name_len, extra_len = int.from_bytes(data[26:28], "little"), int.from_bytes(data[28:30], "little")
+    return 30 + name_len + extra_len
+
+
+def _spoiled_zip_pair(spoil) -> tuple[bytes, bytes]:
+    """Two zips that share a first member spoiled by ``spoil`` and differ in a second."""
+    pair = []
+    for text in (b"one\n", b"two\n"):
+        data = bytearray(write_zip([Member(name="bad.txt", content=b"shared payload\n" * 8),
+                                    Member(name="other.txt", content=text)]))
+        spoil(data)
+        pair.append(bytes(data))
+    return pair[0], pair[1]
+
+
+def _corrupt_deflate(data: bytearray) -> None:
+    data[_zip_body_offset(bytes(data))] = 0xFF  # final block of reserved type 3
+
+
+def _wrong_crc(data: bytearray) -> None:
+    eocd = bytes(data).rindex(b"PK\x05\x06")
+    entry = int.from_bytes(data[eocd + 16:eocd + 20], "little")  # bad.txt's central entry
+    data[entry + 16] ^= 0xFF
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (_corrupt_deflate, "corrupt deflate stream in bad.txt"),
+    (_wrong_crc, "CRC mismatch for member bad.txt"),
+], ids=["corrupt-deflate", "crc-mismatch"])
+def test_identical_spoiled_zip_member_still_falls_back_to_bytes(spoil, message):
+    a, b = _spoiled_zip_pair(spoil)
+    for side in (a, b):
+        with pytest.raises(FormatError, match=message):
+            parse_zip(side, {})
+    node = compare_bytes(a, b)
+    assert node.format is Format.ZIP and node.children == ()
+    assert isinstance(node.detail, ByteRanges) and node.detail.ranges
+
+
+def test_identical_unsupported_method_entry_is_an_error_on_both_sides():
+    when = (2020, 1, 1, 0, 0, 0)
+    pair = []
+    for text in (b"one\n", b"two\n"):
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            zf.writestr(zipfile.ZipInfo("packed.bin", when), b"squeeze me" * 20,
+                        compress_type=zipfile.ZIP_BZIP2)
+            zf.writestr(zipfile.ZipInfo("other.txt", when), text)
+        pair.append(buf.getvalue())
+    seen: dict = {}
+    for side in pair:
+        members, errors = parse_zip_with_errors(side, seen)
+        assert errors == ["packed.bin: unsupported compression method 12"]
+        assert members[0].content == b""
+    node = compare_bytes(*pair)
+    assert [c.status for c in node.children] == [Status.DIFFERS, Status.SAME]
+
+
+@pytest.mark.parametrize("kind", ["tar", "zip"])
+def test_identical_duplicate_names_still_fall_back_to_bytes(kind):
+    write = write_tar if kind == "tar" else write_zip
+    parse = parse_tar if kind == "tar" else parse_zip
+    twice = [Member(name="dup.txt", content=b"same\n")] * 2
+    a = write([*twice, Member(name="other.txt", content=b"one\n")])
+    b = write([*twice, Member(name="other.txt", content=b"two\n")])
+    seen: dict = {}
+    parse(a, seen)
+    assert compare._index_members(parse(b, seen)) is None
+    node = compare_bytes(a, b)
+    assert node.children == ()
+    assert isinstance(node.detail, ByteRanges)
+
+
+def _module_state() -> dict:
+    """The size of every dict, list and set each of ``formats`` and
+    ``compare`` holds at module level, and whether any function there caches."""
+    state = {}
+    for module in (formats, compare):
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            if isinstance(value, (dict, list, set)):
+                state[module.__name__, name] = len(value)
+            assert not hasattr(value, "cache_info"), name
+    return state
+
+
+def _nested_tar_pair() -> tuple[bytes, bytes]:
+    pair = []
+    for text in (b"one\n", b"two\n"):
+        inner = write_tar([Member(name="inner.txt", content=text),
+                           Member(name="kept.txt", content=b"kept\n")])
+        pair.append(write_tar([Member(name="inner.tar", content=inner),
+                               Member(name="kept.txt", content=b"kept\n")]))
+    return pair[0], pair[1]
+
+
+def test_each_container_comparison_gets_a_fresh_empty_dict():
+    calls = []
+
+    def spy(original):
+        def parse(data, seen=None):
+            calls.append((seen, len(seen)))  # holds every dict, so no id is reused
+            return original(data, seen)
+        return parse
+
+    tar_pair = _nested_tar_pair()
+    zip_pair = tuple(write_zip([Member(name="f.txt", content=text)]) for text in (b"1\n", b"2\n"))
+    before = _module_state()
+    with mock.patch.object(compare, "parse_tar", spy(compare.parse_tar)), \
+            mock.patch.object(compare, "parse_zip", spy(compare.parse_zip)):
+        for _ in range(2):
+            compare_bytes(*tar_pair)
+            compare_bytes(*zip_pair)
+    # Per pass: the outer tar, the inner tar and the zip, two sides each.
+    assert len(calls) == 12
+    firsts, seconds = calls[::2], calls[1::2]
+    assert all(size == 0 for _, size in firsts)
+    assert all(a is b for (a, _), (b, _) in zip(firsts, seconds))
+    dicts = [seen for seen, _ in firsts]
+    assert len({id(d) for d in dicts}) == len(dicts)
+    assert _module_state() == before
+
+
+def test_traced_diff_counts_both_sides_members():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tar_pair = tuple(write_tar([Member(name=f"f{i}.txt", content=b"%d %s\n" % (i, text))
+                                for i in range(3)]) for text in (b"a", b"b"))
+    zip_pair = tuple(write_zip([Member(name=f"f{i}.txt", content=b"%d\n" % i)
+                                for i in range(n)]) for n in (4, 5))
+    expected = sum(len(parse_tar(side)) for side in tar_pair)
+    expected += sum(len(parse_zip(side)) for side in zip_pair)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        compare.compare_bytes(*tar_pair)
+        compare.compare_bytes(*zip_pair)
+    finally:
+        tracer.remove()
+    assert tracer.counts["formats.members_parsed"] == expected == 15
+    assert tracer.counts["formats.bytes_parsed"] == sum(map(len, tar_pair + zip_pair))
 
 
 def test_render_text_identical_exact():

@@ -711,3 +711,36 @@ def test_zip_header_corruptions_parse_or_fail_as_the_reference():
     spans += [(h, h + 30) for h in locals_] + [(eocd, eocd + 22)]
     for corrupt in header_corruptions(data, spans):
         assert outcome(parse_zip_with_errors, corrupt) == outcome(reference_parse_zip, corrupt)
+
+
+# -- the second side of a pair, parsed through the first side's records -----
+
+
+def second_side(parse, first: bytes):
+    """``parse`` through a dict that parsing ``first`` filled, as a
+    comparison parses its second side."""
+    def parse_after(data: bytes):
+        seen: dict = {}
+        parse(first, seen)
+        return parse(data, seen)
+    return parse_after
+
+
+@pytest.mark.parametrize(
+    "parse,reference,data,end",
+    [
+        (parse_tar, reference_parse_tar, ROBUSTNESS_TAR, ROBUSTNESS_TAR_HEADERS[-1] + 512),
+        (parse_zip_with_errors, reference_parse_zip, ROBUSTNESS_ZIP, len(ROBUSTNESS_ZIP)),
+    ],
+    ids=["tar", "zip"],
+)
+def test_second_side_parses_or_fails_as_the_reference(parse, reference, data, end):
+    # The archive, each of its prefixes up to ``end`` and each of its bytes
+    # up to ``end`` corrupted, parsed after the intact archive: records it
+    # decoded are reused only where decoding would give the same member, and
+    # every error keeps its message and offset.
+    after = second_side(parse, data)
+    variants = [data] + [data[:cut] for cut in range(end)]
+    variants += header_corruptions(data, [(0, end)])
+    for variant in variants:
+        assert outcome(after, variant) == outcome(reference, variant)
