@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import os
-import subprocess
+import selectors
 import sys
 import tempfile
 import time
@@ -14,7 +14,7 @@ import pytest
 
 from reprokit import cli
 from reprokit.attestation import parse_buildinfo, parse_signed, verify_signature
-from reprokit.errors import ParseError, ValidationError
+from reprokit.errors import ParseError, StructuralError, ValidationError
 from reprokit.runner import (
     META_FILENAME,
     TIMEOUT_EXIT_CODE,
@@ -23,6 +23,7 @@ from reprokit.runner import (
     double_build,
     parse_meta,
     run_build,
+    run_builds,
 )
 from reprokit.varenv import apply_profile, default_profiles
 
@@ -196,10 +197,32 @@ def test_run_build_interrupt_kills_the_process_group(tmp_path, monkeypatch):
             time.sleep(0.05)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    monkeypatch.setattr(selectors.DefaultSelector, "select", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_build(pb, req)
     pids = [int(p) for p in pid_file.read_text().split()]
+    assert wait_dead(pids) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_double_build_interrupt_kills_both_process_groups(tmp_path, monkeypatch):
+    src = make_source(tmp_path, _FORKING_BUILD)
+    staging = tmp_path / "staging"
+    pid_files = [staging / p.build_path_component / "pids" for p in default_profiles()]
+
+    def interrupted(self, timeout=None):
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and not all(
+            f.exists() and f.read_text() for f in pid_files
+        ):
+            time.sleep(0.05)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(selectors.DefaultSelector, "select", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        double_build(request(src), staging_root=staging)
+    pids = [int(p) for f in pid_files for p in f.read_text().split()]
+    assert len(pids) == 4
     assert wait_dead(pids) == []
 
 
@@ -291,6 +314,115 @@ def test_double_build_failure_is_not_reproducible(tmp_path):
     assert verdict.first.exit_code == 0
     assert verdict.second.exit_code == 9
     assert verdict.second.checksums == ()
+
+
+def test_double_build_stages_both_before_building(tmp_path):
+    src = make_source(tmp_path, (
+        "import pathlib\n"
+        "print('built')\n"
+        "pathlib.Path('out').mkdir()\n"
+        "pathlib.Path('out/a.txt').write_text('x')\n"
+    ))
+    first, second = default_profiles()
+    staging = tmp_path / "staging"
+    (staging / second.build_path_component).mkdir(parents=True)
+    with pytest.raises(StructuralError):
+        double_build(request(src), staging_root=staging)
+    first_workdir = staging / first.build_path_component
+    assert not (staging / (first.build_path_component + ".log")).exists()
+    assert not (first_workdir / "out").exists()
+
+
+def test_double_build_runs_the_builds_side_by_side(tmp_path):
+    # Each build waits for the other's marker: run one after the other, the
+    # first would give up and the pair would not reproduce.
+    src = make_source(tmp_path, (
+        "import os, pathlib, sys, time\n"
+        "root = pathlib.Path('..')\n"
+        "me = os.environ['USER']\n"
+        "other = {'builder-a': 'builder-b', 'builder-b': 'builder-a'}[me]\n"
+        "(root / (me + '.ready')).write_text('')\n"
+        "deadline = time.monotonic() + 5\n"
+        "while not (root / (other + '.ready')).exists():\n"
+        "    if time.monotonic() > deadline:\n"
+        "        sys.exit(1)\n"
+        "    time.sleep(0.01)\n"
+        "pathlib.Path('out').mkdir()\n"
+        "pathlib.Path('out/met.txt').write_text('both ran\\n')\n"
+    ))
+    verdict = double_build(request(src), staging_root=tmp_path / "staging")
+    assert (verdict.first.exit_code, verdict.second.exit_code) == (0, 0)
+    assert verdict.reproducible is True
+
+
+def test_double_build_times_out_one_side_only(tmp_path):
+    src = make_source(tmp_path, (
+        "import os, pathlib, time\n"
+        "print('started', flush=True)\n"
+        "if os.environ['UMASK'] == '077':\n"
+        "    time.sleep(30)\n"
+        "pathlib.Path('out').mkdir()\n"
+        "pathlib.Path('out/a.txt').write_text('x')\n"
+    ))
+    staging = tmp_path / "staging"
+    verdict = double_build(request(src, timeout=1), staging_root=staging)
+    assert verdict.reproducible is False
+    assert verdict.first.exit_code == 0
+    assert [e.filename for e in verdict.first.checksums] == ["a.txt"]
+    assert verdict.second.exit_code == TIMEOUT_EXIT_CODE
+    assert verdict.second.log.endswith(b"[build timed out]\n")
+    assert verdict.second.checksums == () and verdict.second.artifacts is None
+    for result, profile in zip((verdict.first, verdict.second), default_profiles()):
+        assert result.log.startswith(b"started\n")
+        log_file = staging / (profile.build_path_component + ".log")
+        assert log_file.read_bytes() == result.log
+
+
+def test_double_build_drains_large_logs_from_both_builds(tmp_path):
+    # 1 MiB each, far beyond a pipe's capacity: an undrained side would block.
+    src = make_source(tmp_path, (
+        "import os, sys\n"
+        "line = (os.environ['USER'] + ' ').encode() * 13 + b'\\n'\n"
+        "sys.stdout.buffer.write((line * (1 << 20))[: 1 << 20])\n"
+    ))
+    staging = tmp_path / "staging"
+    verdict = double_build(request(src), staging_root=staging)
+    for result, profile in zip((verdict.first, verdict.second), default_profiles()):
+        line = (profile.username + " ").encode() * 13 + b"\n"
+        assert result.exit_code == 0
+        assert result.log == (line * (1 << 20))[: 1 << 20]
+        log_file = staging / (profile.build_path_component + ".log")
+        assert log_file.read_bytes() == result.log
+
+
+@pytest.mark.parametrize("exit_fd", [True, False], ids=["exit-fd", "no-exit-fd"])
+def test_run_builds_wait_for_exit_after_the_pipe_closes(tmp_path, monkeypatch, exit_fd):
+    # A build that closes its output and keeps running is still waited for,
+    # and one that never exits still times out, with or without an exit fd.
+    if not exit_fd:
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+    # The never-exiting side closes first, so a loop that blocked on it
+    # would see the other side only after its deadline.
+    src = make_source(tmp_path, (
+        "import os, pathlib, time\n"
+        "if os.environ['HOSTNAME'] == 'alpha':\n"
+        "    time.sleep(0.2)\n"
+        "os.close(1)\n"
+        "os.close(2)\n"
+        "if os.environ['HOSTNAME'] == 'beta':\n"
+        "    time.sleep(30)\n"
+        "time.sleep(0.3)\n"
+        "pathlib.Path('out').mkdir()\n"
+        "pathlib.Path('out/late.txt').write_text('x')\n"
+    ))
+    req = request(src, timeout=2)
+    pbs = [apply_profile(p, req, tmp_path / "staging") for p in default_profiles()]
+    first, second = run_builds(pbs, req)
+    assert first.exit_code == 0
+    assert first.duration_ms < 1500
+    assert [e.filename for e in first.checksums] == ["late.txt"]
+    assert second.exit_code == TIMEOUT_EXIT_CODE
+    assert second.log == b"\n[build timed out]\n"
 
 
 def test_double_build_same_profile_shares_the_workdir_path(tmp_path):
