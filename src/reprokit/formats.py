@@ -11,8 +11,11 @@ they fill in host metadata). So this module owns the byte-level formats:
   and on the zlib that deflates it, so equal logical archives always
   serialize to equal bytes on one zlib build.
 
-Every deflated body, gzip or zip, is raw deflate at zlib level 6, the default
-of GNU ``gzip -n`` and ``git archive``.
+Each on-disk record is one full-width ``struct.Struct`` that its parser
+unpacks and its writer packs; ``pack`` NUL-pads short byte fields and cuts
+long ones, so writers check lengths and ranges first. Every deflated body,
+gzip or zip, is raw deflate at zlib level 6, the default of GNU ``gzip -n``
+and ``git archive``.
 
 Members carry the union of the metadata the three formats support; fields a
 format lacks stay None. This module also owns the decisions every reader of
@@ -31,12 +34,6 @@ from datetime import datetime, timezone
 from .errors import FormatError, ValidationError
 
 TAR_BLOCK = 512
-
-_GZIP_FTEXT = 1
-_GZIP_FHCRC = 2
-_GZIP_FEXTRA = 4
-_GZIP_FNAME = 8
-_GZIP_FCOMMENT = 16
 
 #: Container levels opened below the outermost one. The comparator and the
 #: normalizer both open a container at depth ``MAX_NESTING`` (the artifact
@@ -60,11 +57,11 @@ CONTAINERS = (Format.GZIP, Format.TAR, Format.ZIP)
 
 def detect_format(data: bytes) -> Format:
     """Classify bytes by magic numbers; falls back to text, then binary."""
-    if data[0:2] == b"\x1f\x8b":
+    if data[0:2] == _GZIP_MAGIC:
         return Format.GZIP
-    if data[0:4] == b"PK\x03\x04":
+    if data[0:4] == _ZIP_LOCAL_SIG:
         return Format.ZIP
-    if data[257:262] == b"ustar":
+    if data[257:262] == _TAR_MAGIC:
         return Format.TAR
     if b"\x00" not in data:
         try:
@@ -102,10 +99,12 @@ class Member:
 # -- ustar ------------------------------------------------------------------
 
 
-#: The ustar header fields ``parse_tar`` reads, as raw bytes: name, mode,
-#: uid, gid, size, mtime, chksum, typeflag, magic, uname, gname and prefix.
-#: Skipped are linkname, version, devmajor and devminor.
-_TAR_HEADER = struct.Struct("100s8s8s8s12s12s8sc100x5s3x32s32s16x155s")
+#: The ustar header block, field by field: name, mode, uid, gid, size, mtime,
+#: chksum, typeflag, linkname, magic, version, uname, gname, devmajor,
+#: devminor and prefix, then 12 pad bytes.
+_TAR_HEADER = struct.Struct("100s8s8s8s12s12s8sc100s6s2s32s32s8s8s155s12x")
+#: POSIX magic is ``ustar`` and a NUL, GNU magic ``ustar`` and a space.
+_TAR_MAGIC = b"ustar"
 
 
 def _tar_octal(raw: bytes, offset: int, what: str) -> int:
@@ -166,9 +165,10 @@ def parse_tar(data: bytes, seen: dict | None = None) -> list[Member]:
             content, pos = _tar_content(data, pos, len(known.content))
             members.append(known if content == known.content else replace(known, content=content))
             continue
-        (name_raw, mode, uid, gid, size_raw, mtime, chksum, typeflag, magic,
-         uname, gname, prefix_raw) = _TAR_HEADER.unpack_from(block)
-        if magic != b"ustar":
+        (name_raw, mode, uid, gid, size_raw, mtime, chksum, typeflag, _linkname,
+         magic, _version, uname, gname, _devmajor, _devminor, prefix_raw,
+         ) = _TAR_HEADER.unpack_from(block)
+        if magic[:5] != _TAR_MAGIC:
             raise FormatError("bad magic (not a ustar header)", pos + 257)
         stored_sum = _tar_octal(chksum, pos + 148, "chksum")
         # The checksum counts its own field as eight spaces.
@@ -206,19 +206,22 @@ def parse_tar(data: bytes, seen: dict | None = None) -> list[Member]:
 
 
 def _tar_number_field(value: int, width: int, what: str) -> bytes:
-    if value < 0 or value >= 8 ** (width - 1):
+    """``width - 1`` octal digits, which ``pack`` ends with a NUL, or all
+    ``width`` with no NUL where the value needs them, as libarchive writes."""
+    if value < 0 or value >= 8 ** width:
         raise ValidationError(f"tar {what} {value} out of octal range")
-    return format(value, f"0{width - 1}o").encode() + b"\x00"
+    return format(value, f"0{width - 1}o").encode()
 
 
 def _tar_text_field(value: str, width: int, what: str) -> bytes:
-    """A NUL-padded text field; a value of exactly ``width`` bytes fills it
-    with no terminator, as stdlib ``tarfile`` writes and ``parse_tar`` reads.
+    """A text field, which ``pack`` pads with NULs; a value of exactly
+    ``width`` bytes fills it with no terminator, as stdlib ``tarfile`` writes
+    and ``parse_tar`` reads.
     """
     raw = value.encode("utf-8")
     if len(raw) > width:
         raise ValidationError(f"tar {what} {value!r} longer than {width} bytes")
-    return raw + b"\x00" * (width - len(raw))
+    return raw
 
 
 def _tar_split_name(name: str) -> tuple[bytes, bytes]:
@@ -257,38 +260,38 @@ def write_tar(members: list[Member]) -> bytes:
         if m.is_dir and m.content:
             raise ValidationError(f"directory member {m.name!r} must have empty content")
         default_mode = 0o755 if m.is_dir else 0o644
-        header = b"".join(
-            [
-                name_raw + b"\x00" * (100 - len(name_raw)),
-                _tar_number_field(m.mode if m.mode is not None else default_mode, 8, "mode"),
-                _tar_number_field(m.uid or 0, 8, "uid"),
-                _tar_number_field(m.gid or 0, 8, "gid"),
-                _tar_number_field(len(m.content), 12, "size"),
-                _tar_number_field(m.mtime or 0, 12, "mtime"),
-                b" " * 8,
-                b"5" if m.is_dir else b"0",
-                b"\x00" * 100,
-                b"ustar\x00" + b"00",
-                _tar_text_field(m.uname or "root", 32, "uname"),
-                _tar_text_field(m.gname or "root", 32, "gname"),
-                _tar_number_field(0, 8, "devmajor"),
-                _tar_number_field(0, 8, "devminor"),
-                prefix_raw + b"\x00" * (155 - len(prefix_raw)),
-            ]
-        )
-        header = header + b"\x00" * (TAR_BLOCK - len(header))
-        checksum = format(sum(header), "06o").encode() + b"\x00 "
-        header = header[:148] + checksum + header[156:]
-        chunks.append(header)
-        chunks.append(m.content)
-        remainder = len(m.content) % TAR_BLOCK
-        if remainder:
-            chunks.append(b"\x00" * (TAR_BLOCK - remainder))
+        header = bytearray(_TAR_HEADER.pack(
+            name_raw,
+            _tar_number_field(m.mode if m.mode is not None else default_mode, 8, "mode"),
+            _tar_number_field(m.uid or 0, 8, "uid"),
+            _tar_number_field(m.gid or 0, 8, "gid"),
+            _tar_number_field(len(m.content), 12, "size"),
+            _tar_number_field(m.mtime or 0, 12, "mtime"),
+            b" " * 8, b"5" if m.is_dir else b"0", b"", _TAR_MAGIC, b"00",
+            _tar_text_field(m.uname or "root", 32, "uname"),
+            _tar_text_field(m.gname or "root", 32, "gname"),
+            b"0000000", b"0000000", prefix_raw,
+        ))
+        # Summed with its own field as eight spaces, the checksum is six
+        # digits, a NUL, and the last of those spaces.
+        header[148:155] = b"%06o\x00" % sum(header)
+        chunks += (header, m.content, b"\x00" * (-len(m.content) % TAR_BLOCK))
     chunks.append(b"\x00" * (2 * TAR_BLOCK))
     return b"".join(chunks)
 
 
 # -- gzip -------------------------------------------------------------------
+
+#: The gzip header: magic, method, flags, mtime, extra flags and OS.
+_GZIP_HEADER = struct.Struct("<2sBBIBB")
+#: The gzip trailer: the payload's CRC-32 and its length modulo 2**32.
+_GZIP_TRAILER = struct.Struct("<II")
+_GZIP_MAGIC = b"\x1f\x8b"
+
+_GZIP_FHCRC = 2
+_GZIP_FEXTRA = 4
+_GZIP_FNAME = 8
+_GZIP_FCOMMENT = 16
 
 
 @dataclass(frozen=True)
@@ -300,17 +303,16 @@ class GzipStream:
 
 def parse_gzip(data: bytes) -> GzipStream:
     """Decode a single-stream gzip file, verifying CRC32 and length."""
-    if len(data) < 18:
+    if len(data) < _GZIP_HEADER.size + _GZIP_TRAILER.size:
         raise FormatError("gzip stream shorter than minimal file", 0)
-    if data[0:2] != b"\x1f\x8b":
+    magic, method, flags, mtime, _xfl, _os = _GZIP_HEADER.unpack_from(data)
+    if magic != _GZIP_MAGIC:
         raise FormatError("bad gzip magic", 0)
-    if data[2] != 8:
-        raise FormatError(f"unsupported gzip compression method {data[2]}", 2)
-    flags = data[3]
+    if method != 8:
+        raise FormatError(f"unsupported gzip compression method {method}", 2)
     if flags & 0xE0:
         raise FormatError("reserved gzip flag bits set", 3)
-    mtime = int.from_bytes(data[4:8], "little")
-    pos = 10
+    pos = _GZIP_HEADER.size
     if flags & _GZIP_FEXTRA:
         if pos + 2 > len(data):
             raise FormatError("truncated FEXTRA length", pos)
@@ -341,10 +343,9 @@ def parse_gzip(data: bytes) -> GzipStream:
     if not decomp.eof:
         raise FormatError("truncated deflate stream", len(data))
     trailer = decomp.unused_data
-    if len(trailer) != 8:
+    if len(trailer) != _GZIP_TRAILER.size:
         raise FormatError("bad gzip trailer length", len(data) - len(trailer))
-    crc = int.from_bytes(trailer[0:4], "little")
-    isize = int.from_bytes(trailer[4:8], "little")
+    crc, isize = _GZIP_TRAILER.unpack(trailer)
     if crc != zlib.crc32(payload):
         raise FormatError("gzip CRC mismatch", len(data) - 8)
     if isize != len(payload) % (1 << 32):
@@ -367,12 +368,10 @@ def write_gzip(payload: bytes, mtime: int = 0, filename: str | None = None) -> b
     if not 0 <= mtime < 1 << 32:
         raise ValidationError("gzip mtime out of 32-bit range")
     flags = _GZIP_FNAME if filename is not None else 0
-    header = b"\x1f\x8b\x08" + bytes([flags]) + mtime.to_bytes(4, "little") + b"\x00\xff"
+    header = _GZIP_HEADER.pack(_GZIP_MAGIC, 8, flags, mtime, 0, 255)
     name_field = filename.encode("latin-1") + b"\x00" if filename is not None else b""
-    body = _deflate(payload)
-    trailer = zlib.crc32(payload).to_bytes(4, "little")
-    trailer += (len(payload) % (1 << 32)).to_bytes(4, "little")
-    return header + name_field + body + trailer
+    trailer = _GZIP_TRAILER.pack(zlib.crc32(payload), len(payload) % (1 << 32))
+    return header + name_field + _deflate(payload) + trailer
 
 
 # -- zip --------------------------------------------------------------------
@@ -381,15 +380,17 @@ _ZIP_LOCAL_SIG = b"PK\x03\x04"
 _ZIP_CENTRAL_SIG = b"PK\x01\x02"
 _ZIP_EOCD_SIG = b"PK\x05\x06"
 
-#: From the end-of-central-directory record: this disk's number, the
-#: central directory's disk, its entry count and its offset.
-_ZIP_EOCD = struct.Struct("<4xHH2xH4xI")
-#: A central-directory entry's 46 fixed bytes: signature, version made by,
-#: flags, method, DOS time and date, CRC-32, compressed size, name, extra
-#: and comment lengths, external attributes and local header offset.
-_ZIP_CENTRAL = struct.Struct("<4sH2xHHHHII4xHHH4xII")
-#: A local header's signature and its name and extra lengths.
-_ZIP_LOCAL = struct.Struct("<4s22xHH")
+#: A local header: signature, version needed, flags, method, DOS time and
+#: date, CRC-32, compressed and uncompressed sizes, name and extra lengths.
+_ZIP_LOCAL = struct.Struct("<4sHHHHHIIIHH")
+#: A central-directory entry's fixed part: signature, version made by, the
+#: local header's fields from version needed on, comment length, start disk,
+#: internal and external attributes, and the local header's offset.
+_ZIP_CENTRAL = struct.Struct("<4sHHHHHHIIIHHHHHII")
+#: The end-of-central-directory record: signature, this disk's number, the
+#: central directory's disk, its entry counts on this disk and in all, its
+#: size and offset, and the comment length.
+_ZIP_EOCD = struct.Struct("<4sHHHHIIH")
 
 
 def _dos_to_unix(dos_date: int, dos_time: int, offset: int) -> int:
@@ -458,9 +459,10 @@ def parse_zip_with_errors(
     data: bytes, seen: dict | None = None
 ) -> tuple[list[Member], list[str]]:
     eocd = _zip_find_eocd(data)
-    if len(data) - eocd < 22:
+    if len(data) - eocd < _ZIP_EOCD.size:
         raise FormatError("truncated end-of-central-directory record", eocd)
-    disk_no, cd_disk, entry_count, cd_offset = _ZIP_EOCD.unpack_from(data, eocd)
+    (_sig, disk_no, cd_disk, _disk_entries, entry_count, _cd_size, cd_offset, _comment_len,
+     ) = _ZIP_EOCD.unpack_from(data, eocd)
     if disk_no != 0 or cd_disk != 0:
         raise FormatError("multi-disk zip archives unsupported", eocd + 4)
 
@@ -468,33 +470,35 @@ def parse_zip_with_errors(
     errors: list[str] = []
     pos = cd_offset
     for _ in range(entry_count):
-        (sig, version_made_by, flags, method, dos_time, dos_date, crc, comp_size,
-         name_len, extra_len, comment_len, external_attr, local_offset,
+        (sig, version_made_by, _needed, flags, method, dos_time, dos_date, crc, comp_size,
+         _size, name_len, extra_len, comment_len, _disk, _internal, external_attr, local_offset,
          ) = _unpack_padded(_ZIP_CENTRAL, data, pos)
         if sig != _ZIP_CENTRAL_SIG:
             raise FormatError("bad central-directory entry signature", pos)
-        name_raw = data[pos + 46:pos + 46 + name_len]
+        name_start = pos + _ZIP_CENTRAL.size
+        name_raw = data[name_start:name_start + name_len]
         if len(name_raw) != name_len:
             raise FormatError("truncated central-directory entry", pos)
         try:
             name = name_raw.decode("utf-8" if flags & 0x800 else "cp437")
         except UnicodeDecodeError:
-            raise FormatError("undecodable zip member name", pos + 46) from None
+            raise FormatError("undecodable zip member name", name_start) from None
         if not name:
-            raise FormatError("empty zip member name", pos + 46)
-        entry, pos = pos, pos + 46 + name_len + extra_len + comment_len
+            raise FormatError("empty zip member name", name_start)
+        entry, pos = pos, name_start + name_len + extra_len + comment_len
 
-        sig, l_name_len, l_extra_len = _unpack_padded(_ZIP_LOCAL, data, local_offset)
+        (sig, _needed, _flags, _method, _time, _date, _crc, _comp_size, _size, l_name_len,
+         l_extra_len) = _unpack_padded(_ZIP_LOCAL, data, local_offset)
         if sig != _ZIP_LOCAL_SIG:
             raise FormatError("bad local header signature", local_offset)
-        data_start = local_offset + 30 + l_name_len + l_extra_len
+        data_start = local_offset + _ZIP_LOCAL.size + l_name_len + l_extra_len
         raw = data[data_start:data_start + comp_size]
         if len(raw) != comp_size:
             raise FormatError("truncated member data", data_start)
         if seen is not None:
-            # Without the local header offset (entry + 42), an entry matches
-            # wherever the other archive put it.
-            key = (data[entry:entry + 42], data[entry + 46:pos], raw)
+            # Without the local header offset, the fixed part's last four
+            # bytes, an entry matches wherever the other archive put it.
+            key = (data[entry:name_start - 4], data[name_start:pos], raw)
             known = seen.get(key)
             if known is not None:
                 members.append(known)
@@ -544,59 +548,25 @@ def write_zip(members: list[Member]) -> bytes:
         name = m.name
         if m.is_dir and not name.endswith("/"):
             name += "/"
-        try:
-            name_raw = name.encode("ascii")
-            flags = 0
-        except UnicodeEncodeError:
-            name_raw = name.encode("utf-8")
-            flags = 0x800
+        name_raw = name.encode("utf-8")
+        flags = 0 if name.isascii() else 0x800  # bit 11: the name is UTF-8
         if m.is_dir and m.content:
             raise ValidationError(f"directory member {m.name!r} must have empty content")
-        if m.is_dir:
-            method, body = 0, b""
-        else:
-            method, body = 8, _deflate(m.content)
-        crc = zlib.crc32(m.content)
+        method, body = (0, b"") if m.is_dir else (8, _deflate(m.content))
         dos_date, dos_time = _unix_to_dos(m.mtime or 0)
         mode = m.mode if m.mode is not None else (0o755 if m.is_dir else 0o644)
-        external = (mode << 16) | (0x10 if m.is_dir else 0)
-        version_made_by = (3 << 8) | 20
-
-        fixed = (
-            (20).to_bytes(2, "little")
-            + flags.to_bytes(2, "little")
-            + method.to_bytes(2, "little")
-            + dos_time.to_bytes(2, "little")
-            + dos_date.to_bytes(2, "little")
-            + crc.to_bytes(4, "little")
-            + len(body).to_bytes(4, "little")
-            + len(m.content).to_bytes(4, "little")
-            + len(name_raw).to_bytes(2, "little")
-            + (0).to_bytes(2, "little")
-        )
-        locals_out.append(_ZIP_LOCAL_SIG + fixed + name_raw + body)
-        centrals.append(
-            _ZIP_CENTRAL_SIG
-            + version_made_by.to_bytes(2, "little")
-            + fixed
-            + (0).to_bytes(2, "little")  # comment length
-            + (0).to_bytes(2, "little")  # disk number start
-            + (0).to_bytes(2, "little")  # internal attributes
-            + external.to_bytes(4, "little")
-            + offset.to_bytes(4, "little")
-            + name_raw
-        )
-        offset += len(locals_out[-1])
+        # Both headers hold these, from version needed (2.0) to extra length.
+        shared = (20, flags, method, dos_time, dos_date, zlib.crc32(m.content), len(body),
+                  len(m.content), len(name_raw), 0)
+        local = _ZIP_LOCAL.pack(_ZIP_LOCAL_SIG, *shared) + name_raw + body
+        # Made by Unix (3) 2.0; no comment, disk 0, no internal attributes.
+        centrals.append(_ZIP_CENTRAL.pack(
+            _ZIP_CENTRAL_SIG, (3 << 8) | 20, *shared, 0, 0, 0,
+            (mode << 16) | (0x10 if m.is_dir else 0), offset) + name_raw)
+        locals_out.append(local)
+        offset += len(local)
 
     central_blob = b"".join(centrals)
-    eocd = (
-        _ZIP_EOCD_SIG
-        + (0).to_bytes(2, "little")
-        + (0).to_bytes(2, "little")
-        + len(members).to_bytes(2, "little")
-        + len(members).to_bytes(2, "little")
-        + len(central_blob).to_bytes(4, "little")
-        + offset.to_bytes(4, "little")
-        + (0).to_bytes(2, "little")
-    )
+    eocd = _ZIP_EOCD.pack(_ZIP_EOCD_SIG, 0, 0, len(members), len(members), len(central_blob),
+                          offset, 0)
     return b"".join(locals_out) + central_blob + eocd

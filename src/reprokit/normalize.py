@@ -74,15 +74,17 @@ def _scrub(member: Member, policy: NormalizePolicy, content: bytes) -> Member:
 def normalize_bytes(data: bytes, policy: NormalizePolicy, _depth: int = 0) -> bytes:
     """Normalize recursively: inner archives are normalized before their
     containers are re-emitted. Non-containers pass through unchanged, as do
-    containers nested deeper than ``MAX_NESTING`` levels and members that
-    merely look like containers but fail to parse.
+    containers nested deeper than ``MAX_NESTING`` levels, members that merely
+    look like containers but fail to parse, and nested containers that a
+    canonical writer refuses (a zip directory entry that carries data, say).
+    At the top level either failure is raised.
     """
     fmt = detect_format(data)
     if fmt not in CONTAINERS or _depth > MAX_NESTING:
         return data
     try:
         return _normalize_container(data, fmt, policy, _depth)
-    except FormatError:
+    except (FormatError, ValidationError):
         if _depth == 0:
             raise
         return data

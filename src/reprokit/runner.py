@@ -31,7 +31,7 @@ from .attestation import (
     make_attestation,
     sign_attestation,
 )
-from .errors import ParseError, ValidationError
+from .errors import ParseError, StructuralError, ValidationError
 from .varenv import (
     BuildRequest,
     PreparedBuild,
@@ -153,7 +153,11 @@ def _result(build: _Started, req: BuildRequest) -> BuildResult:
     log = b"".join(build.chunks)
     Path(str(pb.workdir) + ".log").write_bytes(log)
     if build.exit_code == 0:
-        out_dir = pb.workdir / req.output_subdir
+        # Resolved first, so a build cannot point its artifacts elsewhere
+        # with a symlink or a '..'.
+        out_dir = (pb.workdir / req.output_subdir).resolve()
+        if not out_dir.is_relative_to(pb.workdir.resolve()):
+            raise StructuralError(f"artifact directory resolves outside the workdir: {out_dir}")
         out_dir.mkdir(parents=True, exist_ok=True)
         checksums = compute_checksums(out_dir)
         artifacts: Path | None = out_dir

@@ -10,8 +10,11 @@ import struct
 import tarfile
 import zipfile
 import zlib
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reprokit import formats
 from reprokit.errors import FormatError, ValidationError
@@ -744,3 +747,267 @@ def test_second_side_parses_or_fails_as_the_reference(parse, reference, data, en
     variants += header_corruptions(data, [(0, end)])
     for variant in variants:
         assert outcome(after, variant) == outcome(reference, variant)
+
+
+# -- canonical writers against the concatenating writers they replaced ------
+#
+# The writers as they built each record field by field and padded by hand.
+# Name splitting, DOS time conversion and deflate are shared with the
+# writers under test: they did not change.
+
+
+def _reference_tar_number(value: int, width: int, what: str) -> bytes:
+    if value < 0 or value >= 8 ** (width - 1):
+        raise ValidationError(f"tar {what} {value} out of octal range")
+    return format(value, f"0{width - 1}o").encode() + b"\x00"
+
+
+def _reference_tar_text(value: str, width: int, what: str) -> bytes:
+    raw = value.encode("utf-8")
+    if len(raw) > width:
+        raise ValidationError(f"tar {what} {value!r} longer than {width} bytes")
+    return raw + b"\x00" * (width - len(raw))
+
+
+def reference_write_tar(members: list[Member]) -> bytes:
+    chunks: list[bytes] = []
+    for m in members:
+        name = m.name
+        if m.is_dir and not name.endswith("/"):
+            name += "/"
+        prefix_raw, name_raw = formats._tar_split_name(name)
+        if m.is_dir and m.content:
+            raise ValidationError(f"directory member {m.name!r} must have empty content")
+        default_mode = 0o755 if m.is_dir else 0o644
+        header = b"".join(
+            [
+                name_raw + b"\x00" * (100 - len(name_raw)),
+                _reference_tar_number(m.mode if m.mode is not None else default_mode, 8, "mode"),
+                _reference_tar_number(m.uid or 0, 8, "uid"),
+                _reference_tar_number(m.gid or 0, 8, "gid"),
+                _reference_tar_number(len(m.content), 12, "size"),
+                _reference_tar_number(m.mtime or 0, 12, "mtime"),
+                b" " * 8,
+                b"5" if m.is_dir else b"0",
+                b"\x00" * 100,
+                b"ustar\x00" + b"00",
+                _reference_tar_text(m.uname or "root", 32, "uname"),
+                _reference_tar_text(m.gname or "root", 32, "gname"),
+                _reference_tar_number(0, 8, "devmajor"),
+                _reference_tar_number(0, 8, "devminor"),
+                prefix_raw + b"\x00" * (155 - len(prefix_raw)),
+            ]
+        )
+        header = header + b"\x00" * (512 - len(header))
+        checksum = format(sum(header), "06o").encode() + b"\x00 "
+        header = header[:148] + checksum + header[156:]
+        chunks.append(header)
+        chunks.append(m.content)
+        remainder = len(m.content) % 512
+        if remainder:
+            chunks.append(b"\x00" * (512 - remainder))
+    chunks.append(b"\x00" * 1024)
+    return b"".join(chunks)
+
+
+def reference_write_gzip(payload: bytes, mtime: int = 0, filename: str | None = None) -> bytes:
+    if not 0 <= mtime < 1 << 32:
+        raise ValidationError("gzip mtime out of 32-bit range")
+    flags = 8 if filename is not None else 0
+    header = b"\x1f\x8b\x08" + bytes([flags]) + mtime.to_bytes(4, "little") + b"\x00\xff"
+    name_field = filename.encode("latin-1") + b"\x00" if filename is not None else b""
+    body = formats._deflate(payload)
+    trailer = zlib.crc32(payload).to_bytes(4, "little")
+    trailer += (len(payload) % (1 << 32)).to_bytes(4, "little")
+    return header + name_field + body + trailer
+
+
+def reference_write_zip(members: list[Member]) -> bytes:
+    locals_out: list[bytes] = []
+    centrals: list[bytes] = []
+    offset = 0
+    for m in members:
+        name = m.name
+        if m.is_dir and not name.endswith("/"):
+            name += "/"
+        try:
+            name_raw = name.encode("ascii")
+            flags = 0
+        except UnicodeEncodeError:
+            name_raw = name.encode("utf-8")
+            flags = 0x800
+        if m.is_dir and m.content:
+            raise ValidationError(f"directory member {m.name!r} must have empty content")
+        if m.is_dir:
+            method, body = 0, b""
+        else:
+            method, body = 8, formats._deflate(m.content)
+        crc = zlib.crc32(m.content)
+        dos_date, dos_time = formats._unix_to_dos(m.mtime or 0)
+        mode = m.mode if m.mode is not None else (0o755 if m.is_dir else 0o644)
+        external = (mode << 16) | (0x10 if m.is_dir else 0)
+        version_made_by = (3 << 8) | 20
+        fixed = (
+            (20).to_bytes(2, "little")
+            + flags.to_bytes(2, "little")
+            + method.to_bytes(2, "little")
+            + dos_time.to_bytes(2, "little")
+            + dos_date.to_bytes(2, "little")
+            + crc.to_bytes(4, "little")
+            + len(body).to_bytes(4, "little")
+            + len(m.content).to_bytes(4, "little")
+            + len(name_raw).to_bytes(2, "little")
+            + (0).to_bytes(2, "little")
+        )
+        locals_out.append(b"PK\x03\x04" + fixed + name_raw + body)
+        centrals.append(
+            b"PK\x01\x02"
+            + version_made_by.to_bytes(2, "little")
+            + fixed
+            + (0).to_bytes(2, "little")
+            + (0).to_bytes(2, "little")
+            + (0).to_bytes(2, "little")
+            + external.to_bytes(4, "little")
+            + offset.to_bytes(4, "little")
+            + name_raw
+        )
+        offset += len(locals_out[-1])
+    central_blob = b"".join(centrals)
+    eocd = (
+        b"PK\x05\x06"
+        + (0).to_bytes(2, "little")
+        + (0).to_bytes(2, "little")
+        + len(members).to_bytes(2, "little")
+        + len(members).to_bytes(2, "little")
+        + len(central_blob).to_bytes(4, "little")
+        + offset.to_bytes(4, "little")
+        + (0).to_bytes(2, "little")
+    )
+    return b"".join(locals_out) + central_blob + eocd
+
+
+def written(write, *args):
+    """What a writer makes of its arguments: its bytes, or its exception's
+    type and message."""
+    try:
+        return "written", write(*args)
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return "error", type(err), str(err)
+
+
+#: The ustar number fields a member sets, as (offset, width). The size is
+#: left out: a full-width size needs 8 GiB of content.
+TAR_NUMBER_FIELDS = {"mode": (100, 8), "uid": (108, 8), "gid": (116, 8), "mtime": (136, 12)}
+
+
+def full_width(member: Member) -> dict[str, int]:
+    """The member's number fields whose values need all their field's digits."""
+    found = {}
+    for name, (_, width) in TAR_NUMBER_FIELDS.items():
+        value = getattr(member, name)
+        if value is not None and 8 ** (width - 1) <= value < 8 ** width:
+            found[name] = value
+    return found
+
+
+def expected_tar(members: list[Member]):
+    """The reference writer's outcome, except that a value needing every
+    digit of its field is written whole with no NUL instead of refused:
+    the reference runs on the members with such values cut to their low
+    digits, and the fields are then patched and the headers re-summed."""
+    lowered = [replace(m, **{name: v % 8 ** (TAR_NUMBER_FIELDS[name][1] - 1)
+                             for name, v in full_width(m).items()}) for m in members]
+    outcome = written(reference_write_tar, lowered)
+    if outcome[0] != "written":
+        return outcome
+    data = bytearray(outcome[1])
+    pos = 0
+    for m in members:
+        for name, value in full_width(m).items():
+            at, width = TAR_NUMBER_FIELDS[name]
+            data[pos + at:pos + at + width] = b"%0*o" % (width, value)
+        data[pos + 148:pos + 156] = b" " * 8
+        data[pos + 148:pos + 155] = b"%06o\x00" % sum(data[pos:pos + 512])
+        pos += 512 + -(-len(m.content) // 512) * 512
+    return "written", bytes(data)
+
+
+def around(*limits: int):
+    return st.sampled_from(sorted({limit + d for limit in limits for d in (-2, -1, 0, 1)}))
+
+
+#: The DOS time range zip clamps to: 1980-01-01 and the start of 2108.
+DOS_FIRST = 315_532_800
+DOS_END = int(datetime.datetime(2108, 1, 1, tzinfo=datetime.timezone.utc).timestamp())
+
+OCTAL_8 = st.one_of(st.none(), st.integers(0, 8 ** 7 - 1), around(0, 8 ** 7, 8 ** 8))
+MTIMES = st.one_of(st.none(), st.integers(0, 2 ** 33), around(0, 8 ** 11, 8 ** 12, DOS_FIRST, DOS_END))
+#: 0 to 33 bytes: the 32-byte ustar owner fields, full and one over.
+OWNERS = st.one_of(
+    st.none(), st.integers(0, 33).map(lambda n: "u" * n), st.integers(0, 17).map(lambda n: "ü" * n))
+#: Path components of byte lengths at and around the ustar name field's 100
+#: bytes and the prefix field's 155, in ASCII and in 2- and 3-byte UTF-8.
+COMPONENTS = st.tuples(
+    st.sampled_from(["a", "é", "日"]),
+    st.sampled_from([1, 3, 50, 98, 99, 100, 101, 102, 153, 154, 155, 156, 157]),
+).map(lambda cn: cn[0] * max(1, cn[1] // len(cn[0].encode())))
+NAMES = st.one_of(
+    st.lists(COMPONENTS, min_size=1, max_size=3).map("/".join),
+    st.text(alphabet="ab/é", min_size=1, max_size=8),
+    st.text(alphabet="ab/é", max_size=8),
+)
+
+
+@st.composite
+def archive_members(draw, modes=OCTAL_8):
+    is_dir = draw(st.booleans())
+    return Member(
+        name=draw(NAMES) + draw(st.sampled_from(["", "", "/"])),
+        content=b"" if is_dir and draw(st.integers(0, 3)) else draw(st.binary(max_size=1100)),
+        mtime=draw(MTIMES),
+        uid=draw(OCTAL_8),
+        gid=draw(OCTAL_8),
+        uname=draw(OWNERS),
+        gname=draw(OWNERS),
+        mode=draw(modes),
+        is_dir=is_dir,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(archive_members(), max_size=3))
+def test_write_tar_writes_or_fails_as_the_reference(members):
+    assert written(write_tar, members) == expected_tar(members)
+
+
+#: Zip keeps a mode in the 16 high bits of the external attributes. A mode
+#: outside them fails in both writers, with different untyped errors, so
+#: none is drawn.
+ZIP_MODES = st.one_of(st.none(), st.integers(0, 0xFFFF), st.sampled_from([0, 1, 0xFFFE, 0xFFFF]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(archive_members(ZIP_MODES), max_size=3))
+def test_write_zip_writes_or_fails_as_the_reference(members):
+    assert written(write_zip, members) == written(reference_write_zip, members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.binary(max_size=2000),
+    st.one_of(st.integers(0, 2 ** 32 - 1), around(0, 2 ** 32)),
+    st.one_of(st.none(), st.text(max_size=6), st.text(alphabet="aÿ\x00", max_size=6)),
+)
+def test_write_gzip_writes_or_fails_as_the_reference(payload, mtime, filename):
+    assert written(write_gzip, payload, mtime, filename) == \
+        written(reference_write_gzip, payload, mtime, filename)
+
+
+def test_full_width_values_are_the_one_difference_from_the_reference():
+    members = [Member(name="f", content=b"x", uid=0o17777777, mtime=8 ** 11, mode=0o7777777)]
+    assert written(reference_write_tar, members) == \
+        ("error", ValidationError, "tar uid 4194303 out of octal range")
+    data = write_tar(members)
+    assert data[100:148] == b"7777777\x00" + b"17777777" + b"0000000\x00" + \
+        b"00000000001\x00" + b"100000000000"
+    assert ("written", data) == expected_tar(members)

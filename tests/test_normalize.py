@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reprokit.errors import FormatError, ValidationError
-from reprokit.formats import Member, parse_gzip, parse_tar, parse_zip, write_tar
+from reprokit.formats import Member, parse_gzip, parse_tar, parse_zip, write_tar, write_zip
 from reprokit.normalize import (
     MAX_NESTING,
     NormalizePolicy,
@@ -196,6 +196,54 @@ def test_full_width_owner_names_normalize_and_read_back():
             assert (info.uname, info.gname) == (owner, owner)
     with pytest.raises(ValidationError, match="longer than 32 bytes"):
         write_tar([Member(name="f", content=b"", uname="u" * 33)])
+
+
+def test_full_width_octal_fields_normalize_and_read_back():
+    # libarchive writes a value that needs the terminator's byte as octal
+    # digits filling the field with no NUL. Stdlib USTAR cannot write that,
+    # so the uid and mtime fields are patched and the header re-summed.
+    patched = bytearray(stdlib_tar([("f", b"x\n", 1, 7, 7, "u", "g", 0o644)]))
+    patched[108:116] = b"17777777"
+    patched[136:148] = b"100000000000"
+    patched[148:156] = b" " * 8
+    patched[148:156] = b"%06o\x00 " % sum(patched[:512])
+    raw = bytes(patched)
+    (member,) = parse_tar(raw)
+    assert (member.uid, member.gid, member.mtime) == (0o17777777, 7, 8 ** 11)
+    keep = NormalizePolicy(epoch=8 ** 12 - 1, zero_ownership=False)
+    out = normalize_bytes(raw, keep)
+    assert out[100:148] == raw[100:148]  # mode, uid, gid, size and mtime kept bytewise
+    with tarfile.open(fileobj=io.BytesIO(out)) as tf:
+        (info,) = tf.getmembers()
+        assert (info.uid, info.gid, info.mtime) == (0o17777777, 7, 8 ** 11)
+        assert tf.extractfile(info).read() == b"x\n"
+    for field, value in [("uid", 8 ** 8), ("gid", -1), ("mtime", 8 ** 12), ("mode", 8 ** 8)]:
+        with pytest.raises(ValidationError, match=f"tar {field} {value} out of octal range"):
+            write_tar([Member(name="f", content=b"", **{field: value})])
+
+
+def test_nested_container_its_writer_refuses_passes_through():
+    # Stdlib zipfile writes a directory entry that carries data, and
+    # parse_zip reads it, but write_zip refuses to emit one.
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("d/", b"data")
+        zf.writestr("a.txt", b"alpha\n")
+    inner = buf.getvalue()
+    with zipfile.ZipFile(io.BytesIO(inner)) as zf:
+        assert zf.read("d/") == b"data"
+    assert [(m.name, m.is_dir, m.content) for m in parse_zip(inner)][0] == ("d/", True, b"data")
+    with pytest.raises(ValidationError, match="must have empty content"):
+        normalize_bytes(inner, POLICY)
+    outer = gzip_mod.compress(write_tar([
+        Member(name="z.zip", content=inner, mtime=EPOCH + 99, uid=5),
+        Member(name="b.txt", content=b"b\n", mtime=EPOCH + 99),
+    ]), mtime=EPOCH + 99)
+    out = parse_gzip(normalize_bytes(outer, POLICY))
+    assert out.mtime == EPOCH
+    members = parse_tar(out.payload)
+    assert [(m.name, m.mtime, m.uid) for m in members] == [("b.txt", EPOCH, 0), ("z.zip", EPOCH, 0)]
+    assert members[1].content == inner
 
 
 def test_normalize_bytes_idempotent():

@@ -261,6 +261,36 @@ def test_run_build_missing_entry(tmp_path):
         run_build(pb, req)
 
 
+def test_symlinked_artifact_directory_is_refused(tmp_path, capsys):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "secret.txt").write_text("not a build output\n")
+    src = make_source(tmp_path, f"import os\nos.symlink({str(elsewhere)!r}, 'out')\n")
+    req = request(src)
+    pb = apply_profile(default_profiles()[0], req, tmp_path / "staging")
+    with pytest.raises(StructuralError, match="outside the workdir"):
+        run_build(pb, req)
+    with pytest.raises(StructuralError, match="outside the workdir"):
+        double_build(req, staging_root=tmp_path / "double")
+    assert cli.main(["check", str(src), "--staging", str(tmp_path / "cli")]) == 3
+    assert "outside the workdir" in capsys.readouterr().err
+    assert (elsewhere / "secret.txt").read_text() == "not a build output\n"
+
+
+def test_artifact_directory_may_be_a_symlink_inside_the_workdir(tmp_path):
+    src = make_source(tmp_path, (
+        "import os, pathlib\n"
+        "pathlib.Path('build.d/out').mkdir(parents=True)\n"
+        "pathlib.Path('build.d/out/a.txt').write_text('a\\n')\n"
+        "os.symlink('build.d/out', 'out')\n"
+    ))
+    req = request(src)
+    pb = apply_profile(default_profiles()[0], req, tmp_path / "staging")
+    result = run_build(pb, req)
+    assert [e.filename for e in result.checksums] == ["a.txt"]
+    assert result.artifacts == (pb.workdir / "build.d" / "out").resolve()
+
+
 def test_double_build_reproducible(tmp_path):
     src = make_source(tmp_path, (
         "import pathlib\n"
