@@ -6,7 +6,8 @@ off-the-shelf writers do not give (they pad, they pick compression settings,
 they fill in host metadata). So this module owns the byte-level formats:
 
 * parsers that read the common output of ordinary tools strictly enough to
-  reject corruption, with byte offsets in errors;
+  reject corruption, with byte offsets in tar and zip errors and zlib's
+  reason in gzip errors;
 * canonical writers whose output depends only on the member list passed in
   and on the zlib that deflates it, so equal logical archives always
   serialize to equal bytes on one zlib build.
@@ -288,10 +289,8 @@ _GZIP_HEADER = struct.Struct("<2sBBIBB")
 _GZIP_TRAILER = struct.Struct("<II")
 _GZIP_MAGIC = b"\x1f\x8b"
 
-_GZIP_FHCRC = 2
 _GZIP_FEXTRA = 4
 _GZIP_FNAME = 8
-_GZIP_FCOMMENT = 16
 
 
 @dataclass(frozen=True)
@@ -302,54 +301,29 @@ class GzipStream:
 
 
 def parse_gzip(data: bytes) -> GzipStream:
-    """Decode a single-stream gzip file, verifying CRC32 and length."""
-    if len(data) < _GZIP_HEADER.size + _GZIP_TRAILER.size:
-        raise FormatError("gzip stream shorter than minimal file", 0)
-    magic, method, flags, mtime, _xfl, _os = _GZIP_HEADER.unpack_from(data)
-    if magic != _GZIP_MAGIC:
-        raise FormatError("bad gzip magic", 0)
-    if method != 8:
-        raise FormatError(f"unsupported gzip compression method {method}", 2)
-    if flags & 0xE0:
-        raise FormatError("reserved gzip flag bits set", 3)
+    """Decode a single-stream gzip file.
+
+    zlib checks the framing: magic, method, reserved flags, the header CRC
+    where present, and the trailer's CRC-32 and length. A FormatError names
+    zlib's reason.
+    """
+    decomp = zlib.decompressobj(wbits=31)
+    try:
+        payload = decomp.decompress(data) + decomp.flush()
+    except zlib.error as err:
+        raise FormatError(f"corrupt gzip stream: {err}") from None
+    if not decomp.eof:
+        raise FormatError("truncated gzip stream", len(data))
+    if decomp.unused_data:
+        raise FormatError("data after gzip stream", len(data) - len(decomp.unused_data))
+    # zlib accepted the header, so its fields are all present.
+    _magic, _method, flags, mtime, _xfl, _os = _GZIP_HEADER.unpack_from(data)
     pos = _GZIP_HEADER.size
     if flags & _GZIP_FEXTRA:
-        if pos + 2 > len(data):
-            raise FormatError("truncated FEXTRA length", pos)
-        xlen = int.from_bytes(data[pos:pos + 2], "little")
-        pos += 2 + xlen
+        pos += 2 + int.from_bytes(data[pos:pos + 2], "little")
     filename: str | None = None
     if flags & _GZIP_FNAME:
-        end = data.find(b"\x00", pos)
-        if end < 0:
-            raise FormatError("unterminated FNAME", pos)
-        filename = data[pos:end].decode("latin-1")
-        pos = end + 1
-    if flags & _GZIP_FCOMMENT:
-        end = data.find(b"\x00", pos)
-        if end < 0:
-            raise FormatError("unterminated FCOMMENT", pos)
-        pos = end + 1
-    if flags & _GZIP_FHCRC:
-        pos += 2
-    if pos > len(data):
-        raise FormatError("truncated gzip header", len(data))
-    decomp = zlib.decompressobj(wbits=-15)
-    try:
-        payload = decomp.decompress(data[pos:])
-        payload += decomp.flush()
-    except zlib.error as err:
-        raise FormatError(f"corrupt deflate stream: {err}", pos) from None
-    if not decomp.eof:
-        raise FormatError("truncated deflate stream", len(data))
-    trailer = decomp.unused_data
-    if len(trailer) != _GZIP_TRAILER.size:
-        raise FormatError("bad gzip trailer length", len(data) - len(trailer))
-    crc, isize = _GZIP_TRAILER.unpack(trailer)
-    if crc != zlib.crc32(payload):
-        raise FormatError("gzip CRC mismatch", len(data) - 8)
-    if isize != len(payload) % (1 << 32):
-        raise FormatError("gzip ISIZE mismatch", len(data) - 4)
+        filename = data[pos:data.index(b"\x00", pos)].decode("latin-1")
     return GzipStream(payload=payload, mtime=mtime, filename=filename)
 
 
@@ -432,8 +406,9 @@ def parse_zip(data: bytes, seen: dict | None = None) -> list[Member]:
 
     Needs stored or deflated entries with a usable central directory; each
     entry's CRC is verified. A member using any other compression method is
-    returned with empty content and counted as undecodable by the caller's
-    policy (its metadata is still real).
+    a FormatError naming the first such member, since its content is not
+    known; ``parse_zip_with_errors`` returns those members with empty
+    content instead.
 
     ``seen``, when given, maps an entry's central-directory record, less its
     local header offset, and its compressed bytes to the member decoded from
@@ -442,7 +417,9 @@ def parse_zip(data: bytes, seen: dict | None = None) -> list[Member]:
     side's member for every entry whose record and compressed bytes match,
     wherever it sits, without inflating it again.
     """
-    members, _ = parse_zip_with_errors(data, seen)
+    members, errors = parse_zip_with_errors(data, seen)
+    if errors:
+        raise FormatError(f"cannot decode {errors[0]}")
     return members
 
 
@@ -549,12 +526,16 @@ def write_zip(members: list[Member]) -> bytes:
         if m.is_dir and not name.endswith("/"):
             name += "/"
         name_raw = name.encode("utf-8")
+        if len(name_raw) > 0xFFFF:
+            raise ValidationError(f"zip member name of {len(name_raw)} bytes exceeds 65535")
         flags = 0 if name.isascii() else 0x800  # bit 11: the name is UTF-8
         if m.is_dir and m.content:
             raise ValidationError(f"directory member {m.name!r} must have empty content")
+        mode = m.mode if m.mode is not None else (0o755 if m.is_dir else 0o644)
+        if not 0 <= mode <= 0xFFFF:
+            raise ValidationError(f"zip mode {mode:#o} of {m.name!r} out of 16-bit range")
         method, body = (0, b"") if m.is_dir else (8, _deflate(m.content))
         dos_date, dos_time = _unix_to_dos(m.mtime or 0)
-        mode = m.mode if m.mode is not None else (0o755 if m.is_dir else 0o644)
         # Both headers hold these, from version needed (2.0) to extra length.
         shared = (20, flags, method, dos_time, dos_date, zlib.crc32(m.content), len(body),
                   len(m.content), len(name_raw), 0)

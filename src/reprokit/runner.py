@@ -6,9 +6,10 @@ checksum-by-checksum, filename-wise: a renamed but byte-identical artifact
 still counts as a failure, because downstream verification is per file. The
 two builds run side by side, because the harness gives them nothing in
 common: each has its own staged tree, its own exact environment (no ``HOME``
-or ``TMPDIR`` is passed) and its own ``<workdir>.log``. Only a pair whose
-build paths are equal runs one build after the other, since both must see
-the same working path.
+or ``TMPDIR`` is passed) and its own ``<workdir>.log``, which the build's
+output goes straight into as it runs. Only a pair whose build paths are
+equal runs one build after the other, since both must see the same working
+path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .attestation import (
@@ -45,11 +46,8 @@ from .varenv import (
 #: Exit code reserved for builds killed by the timeout.
 TIMEOUT_EXIT_CODE = 124
 
-#: Bytes read from a build's output pipe at a time.
-_READ_SIZE = 1 << 16
-
-#: Seconds between exit checks on a build whose pipe closed, where the OS
-#: offers no descriptor that reports the exit.
+#: Seconds between exit checks, where the OS offers no descriptor that
+#: reports a build's exit.
 _EXIT_POLL_S = 0.01
 
 META_FILENAME = "repro.meta"
@@ -116,11 +114,10 @@ class _Started:
 
     pb: PreparedBuild
     proc: subprocess.Popen
+    log_fd: int
     start: float
     deadline: float
     exit_fd: int | None
-    watching: list[object] = field(default_factory=list)
-    chunks: list[bytes] = field(default_factory=list)
     exit_code: int | None = None
     duration_ms: int = 0
 
@@ -133,25 +130,22 @@ def _exit_fd(pid: int) -> int | None:
         return None
 
 
-def _time_out(sel: selectors.BaseSelector, build: _Started) -> None:
-    """Stop watching ``build`` and kill its whole process group.
-
-    Helpers it forked die with it. The pipe is not drained afterwards: a
-    process that left the group could hold it open.
-    """
-    for fileobj in build.watching:
-        sel.unregister(fileobj)
-    build.watching.clear()
+def _time_out(build: _Started) -> None:
+    """Kill ``build``'s whole process group, so helpers it forked die with it,
+    and mark its log."""
     os.killpg(build.proc.pid, signal.SIGKILL)
     build.proc.wait()
-    build.chunks.append(b"\n[build timed out]\n")
+    os.lseek(build.log_fd, 0, os.SEEK_END)
+    os.write(build.log_fd, b"\n[build timed out]\n")
     build.exit_code = TIMEOUT_EXIT_CODE
 
 
 def _result(build: _Started, req: BuildRequest) -> BuildResult:
     pb = build.pb
-    log = b"".join(build.chunks)
-    Path(str(pb.workdir) + ".log").write_bytes(log)
+    # Read through the descriptor the build wrote to, so a build that
+    # replaces its log path cannot change the log it is judged by.
+    os.lseek(build.log_fd, 0, os.SEEK_SET)
+    log = open(build.log_fd, "rb", closefd=False).read()
     if build.exit_code == 0:
         # Resolved first, so a build cannot point its artifacts elsewhere
         # with a symlink or a '..'.
@@ -178,9 +172,10 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
     """Execute staged builds side by side; results come in the order of ``pbs``.
 
     Each child sees exactly its profile's env and runs in a session of its
-    own. One selector loop drains every build's output pipe, and its exit
-    where the OS offers an exit descriptor, so no build waits on another.
-    Each build's timeout counts from its own start. On any exception every
+    own, with stdout and stderr going straight into its ``<workdir>.log`` as
+    it runs. One selector loop waits on every build's exit, through an exit
+    descriptor where the OS offers one, so no build waits on another. Each
+    build's timeout counts from its own start. On any exception every
     started build's process group is killed and reaped before it propagates:
     in their own sessions the builds no longer get the terminal's Ctrl-C.
     """
@@ -189,47 +184,46 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
         if not entry.is_file():
             raise ValidationError(f"build entry missing from workdir: {entry}")
     builds: list[_Started] = []
+    fds: list[int] = []
     try:
         with selectors.DefaultSelector() as sel:
             for pb, entry in zip(pbs, entries):
+                log_fd = os.open(
+                    str(pb.workdir) + ".log", os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666
+                )
+                fds.append(log_fd)
                 start = time.monotonic()
                 proc = subprocess.Popen(
                     [str(entry)],
                     cwd=pb.workdir,
                     env=pb.env,
-                    stdout=subprocess.PIPE,
+                    stdout=log_fd,
                     stderr=subprocess.STDOUT,
                     start_new_session=True,
                 )
-                build = _Started(pb, proc, start, start + req.timeout_seconds, _exit_fd(proc.pid))
+                build = _Started(
+                    pb, proc, log_fd, start, start + req.timeout_seconds, _exit_fd(proc.pid)
+                )
                 builds.append(build)
-                for fileobj in (proc.stdout, build.exit_fd):
-                    if fileobj is not None:
-                        sel.register(fileobj, selectors.EVENT_READ, build)
-                        build.watching.append(fileobj)
+                if build.exit_fd is not None:
+                    fds.append(build.exit_fd)
+                    sel.register(build.exit_fd, selectors.EVENT_READ)
             while live := [b for b in builds if b.exit_code is None]:
                 wait = max(0.0, min(b.deadline for b in live) - time.monotonic())
-                if any(not b.watching for b in live):
-                    # The pipe closed and no descriptor reports the exit.
+                if any(b.exit_fd is None for b in live):
                     wait = min(wait, _EXIT_POLL_S)
                 for key, _ in sel.select(wait):
-                    build = key.data
-                    if key.fileobj is build.proc.stdout:
-                        chunk = os.read(key.fd, _READ_SIZE)
-                        if chunk:
-                            build.chunks.append(chunk)
-                            continue
                     sel.unregister(key.fileobj)
-                    build.watching.remove(key.fileobj)
                 now = time.monotonic()
                 for build in live:
-                    if not build.watching and build.proc.poll() is not None:
+                    if build.proc.poll() is not None:
                         build.exit_code = build.proc.returncode
                     elif build.deadline <= now:
-                        _time_out(sel, build)
+                        _time_out(build)
                     else:
                         continue
                     build.duration_ms = int((time.monotonic() - build.start) * 1000)
+            return [_result(build, req) for build in builds]
     except BaseException:
         for build in builds:
             if build.proc.returncode is None:
@@ -237,11 +231,8 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
                 build.proc.wait()
         raise
     finally:
-        for build in builds:
-            build.proc.stdout.close()
-            if build.exit_fd is not None:
-                os.close(build.exit_fd)
-    return [_result(build, req) for build in builds]
+        for fd in fds:
+            os.close(fd)
 
 
 def run_build(pb: PreparedBuild, req: BuildRequest) -> BuildResult:
@@ -276,9 +267,8 @@ def double_build(
         if parked.exists():
             raise ValidationError(f"staging collision: {parked}")
         first_pb.workdir.rename(parked)
-        log_path = Path(str(first_pb.workdir) + ".log")
-        if log_path.exists():
-            log_path.rename(str(parked) + ".log")
+        # From the result, not the log path, which the build may have removed.
+        Path(str(parked) + ".log").write_bytes(first.log)
         if first.artifacts is not None:
             first = dataclasses.replace(first, artifacts=parked / req.output_subdir)
         [second] = run_builds([apply_profile(second_profile, req, staging_root)], req)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import zipfile
 import zlib
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -237,6 +239,21 @@ def test_normalize_epoch_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "garbage")
     assert cli.main(["normalize", str(archive)]) == 3
     assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+
+
+def test_normalize_zip_its_writer_refuses_is_a_one_line_error(tmp_path, capsys):
+    # One name of 30,000 cp437 bytes is 90,000 bytes in UTF-8, more than a
+    # zip name length can hold.
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("x" * 30_000, b"wide\n")
+    archive = tmp_path / "wide.zip"
+    archive.write_bytes(buf.getvalue().replace(b"x" * 30_000, b"\xb0" * 30_000))
+    assert cli.main(["normalize", "--epoch", "100", str(archive)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds 65535" in err
+    assert not (tmp_path / "wide.zip.norm").exists()
 
 
 def test_normalize_epoch_flag_wins_over_environment(tmp_path, capsys, monkeypatch):

@@ -736,7 +736,28 @@ def test_identical_unsupported_method_entry_is_an_error_on_both_sides():
         assert errors == ["packed.bin: unsupported compression method 12"]
         assert members[0].content == b""
     node = compare_bytes(*pair)
-    assert [c.status for c in node.children] == [Status.DIFFERS, Status.SAME]
+    assert node.children == ()
+    assert isinstance(node.detail, ByteRanges) and node.detail.ranges
+
+
+@pytest.mark.parametrize("methods,texts", [
+    ((zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2), (b"same line\n" * 4,) * 2),
+    ((zipfile.ZIP_BZIP2, zipfile.ZIP_BZIP2), (b"one\n", b"two\n")),
+], ids=["deflate-vs-bzip2", "bzip2-both-sides"])
+def test_undecoded_zip_member_is_not_compared_as_content(methods, texts):
+    # An entry parse_zip cannot decode has no known content, so the zip is
+    # compared as bytes, not as a member that is empty on that side.
+    pair = []
+    for method, text in zip(methods, texts):
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            zf.writestr(zipfile.ZipInfo("a.txt", (2020, 1, 1, 0, 0, 0)), text,
+                        compress_type=method)
+        pair.append(buf.getvalue())
+    node = compare_bytes(*pair)
+    assert node.status is Status.DIFFERS
+    assert node.format is Format.ZIP and node.children == ()
+    assert isinstance(node.detail, ByteRanges) and node.detail.ranges
 
 
 @pytest.mark.parametrize("kind", ["tar", "zip"])

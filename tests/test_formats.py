@@ -248,6 +248,15 @@ def test_parse_gzip_rejects_corruption():
         parse_gzip(good + b"tail")
 
 
+def test_parse_gzip_rejects_a_wrong_header_crc():
+    data = bytearray(gzip_with_flags(b"payload\n", name=b"n", hcrc=True))
+    data[12] ^= 0xFF  # the FHCRC field, after the 10-byte header and "n\0"
+    # Stdlib gzip skips FHCRC unchecked, so it cannot be the oracle here.
+    assert gzip_mod.decompress(bytes(data)) == b"payload\n"
+    with pytest.raises(FormatError, match="header crc mismatch"):
+        parse_gzip(bytes(data))
+
+
 def stdlib_zip(entries, comment=b"") -> bytes:
     """entries: (name, data_or_None, date_time, mode, method)."""
     buf = io.BytesIO()
@@ -346,7 +355,8 @@ def test_parse_zip_unsupported_method_is_member_level():
     assert members[0].content == b"fine"
     assert members[1].content == b""
     assert len(errors) == 1 and "packed.bin" in errors[0]
-    assert parse_zip(data) == members
+    with pytest.raises(FormatError, match="packed.bin: unsupported compression method 12"):
+        parse_zip(data)
 
 
 def test_zip_dos_time_rounding_and_clamping():
@@ -413,6 +423,13 @@ def test_write_gzip_header_bytes(filename, flags):
 def test_write_gzip_body_is_level_6_raw_deflate(payload):
     data = write_gzip(payload, filename="n")
     assert data[12:-8] == raw_deflate_level6(payload)
+
+
+def test_write_zip_refuses_fields_wider_than_their_record():
+    with pytest.raises(ValidationError, match="out of 16-bit range"):
+        write_zip([Member(name="a", content=b"x", mode=0o2000000)])
+    with pytest.raises(ValidationError, match="exceeds 65535"):
+        write_zip([Member(name="\u2591" * 30_000, content=b"x")])
 
 
 def test_write_zip_bodies_are_level_6_raw_deflate():

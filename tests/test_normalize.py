@@ -246,6 +246,21 @@ def test_nested_container_its_writer_refuses_passes_through():
     assert members[1].content == inner
 
 
+def test_nested_zip_whose_name_write_zip_cannot_hold_passes_through():
+    # One name of 30,000 cp437 bytes 0xB0 is 90,000 bytes in UTF-8, more
+    # than a zip name length can hold.
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("x" * 30_000, b"wide\n")
+    inner = buf.getvalue().replace(b"x" * 30_000, b"\xb0" * 30_000)
+    assert parse_zip(inner)[0].name == "\u2591" * 30_000
+    with pytest.raises(ValidationError, match="exceeds 65535"):
+        normalize_bytes(inner, POLICY)
+    outer = write_tar([Member(name="w.zip", content=inner, mtime=EPOCH + 99)])
+    [member] = parse_tar(normalize_bytes(outer, POLICY))
+    assert (member.mtime, member.content) == (EPOCH, inner)
+
+
 def test_normalize_bytes_idempotent():
     inner = stdlib_tar([("f", b"x", 1_700_000_000, 5, 5, "u", "g", 0o755)])
     raw = gzip_mod.compress(inner, mtime=99)

@@ -425,6 +425,65 @@ def test_double_build_drains_large_logs_from_both_builds(tmp_path):
         assert log_file.read_bytes() == result.log
 
 
+def test_run_build_log_is_what_the_build_printed_even_if_it_replaces_the_file(tmp_path):
+    src = make_source(tmp_path, (
+        "import os, pathlib\n"
+        "print('real output', flush=True)\n"
+        "log = pathlib.Path(os.getcwd() + '.log')\n"
+        "log.unlink()\n"
+        "log.write_text('forged\\n')\n"
+    ))
+    req = request(src)
+    pb = apply_profile(default_profiles()[0], req, tmp_path / "staging")
+    result = run_build(pb, req)
+    assert result.exit_code == 0
+    assert result.log == b"real output\n"
+
+
+def test_double_build_same_path_keeps_the_first_log_the_build_removed(tmp_path):
+    src = make_source(tmp_path, (
+        "import os, pathlib\n"
+        "print('built', flush=True)\n"
+        "pathlib.Path(os.getcwd() + '.log').unlink()\n"
+        "pathlib.Path('out').mkdir()\n"
+    ))
+    profile = default_profiles()[0]
+    staging = tmp_path / "staging"
+    verdict = double_build(request(src), profiles=(profile, profile), staging_root=staging)
+    assert verdict.reproducible is True
+    assert verdict.first.log == verdict.second.log == b"built\n"
+    parked_log = staging / (profile.build_path_component + ".first.log")
+    assert parked_log.read_bytes() == b"built\n"
+
+
+_FD_CASES = {
+    "success": ("import pathlib\npathlib.Path('out').mkdir()\n", 30, 0),
+    "failure": ("import sys\nsys.exit(3)\n", 30, 3),
+    "timeout": ("import time\ntime.sleep(30)\n", 1, TIMEOUT_EXIT_CODE),
+    "interrupt": ("import time\ntime.sleep(30)\n", 30, None),
+}
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="needs /proc")
+@pytest.mark.parametrize("case", list(_FD_CASES))
+def test_run_builds_leaves_no_descriptor_open(tmp_path, monkeypatch, case):
+    body, timeout, exit_code = _FD_CASES[case]
+    src = make_source(tmp_path, body)
+    req = request(src, timeout=timeout)
+    pbs = [apply_profile(p, req, tmp_path / "staging") for p in default_profiles()]
+    before = len(os.listdir("/proc/self/fd"))
+    if exit_code is None:
+        def interrupted(self, timeout=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(selectors.DefaultSelector, "select", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_builds(pbs, req)
+    else:
+        assert [r.exit_code for r in run_builds(pbs, req)] == [exit_code] * 2
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("exit_fd", [True, False], ids=["exit-fd", "no-exit-fd"])
 def test_run_builds_wait_for_exit_after_the_pipe_closes(tmp_path, monkeypatch, exit_fd):
     # A build that closes its output and keeps running is still waited for,
