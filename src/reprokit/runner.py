@@ -6,15 +6,15 @@ checksum-by-checksum, filename-wise: a renamed but byte-identical artifact
 still counts as a failure, because downstream verification is per file. The
 two builds run side by side, because the harness gives them nothing in
 common: each has its own staged tree, its own exact environment (no ``HOME``
-or ``TMPDIR`` is passed) and its own ``<workdir>.log``, which the build's
-output goes straight into as it runs. Only a pair whose build paths are
-equal runs one build after the other, since both must see the same working
-path.
+or ``TMPDIR`` is passed) and its own ``<workdir>.log``, written as it runs.
+Only a pair whose build paths are equal runs one build after the other,
+since both must see the same working path.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import os
 import selectors
 import signal
@@ -46,8 +46,8 @@ from .varenv import (
 #: Exit code reserved for builds killed by the timeout.
 TIMEOUT_EXIT_CODE = 124
 
-#: Seconds between exit checks, where the OS offers no descriptor that
-#: reports a build's exit.
+#: Seconds between exit checks on a build whose exit no descriptor reports,
+#: or whose output a process it left behind still holds open.
 _EXIT_POLL_S = 0.01
 
 META_FILENAME = "repro.meta"
@@ -117,6 +117,7 @@ class _Started:
     log_fd: int
     start: float
     deadline: float
+    #: Reports the build's exit; None where the OS offers none, or once it has.
     exit_fd: int | None
     exit_code: int | None = None
     duration_ms: int = 0
@@ -130,20 +131,35 @@ def _exit_fd(pid: int) -> int | None:
         return None
 
 
+def _create_log(path: str) -> int:
+    """Create an empty log at ``path``, removing, not following, what a build left there."""
+    Path(path).unlink(missing_ok=True)
+    return os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o666)
+
+
+def _output_released(build: _Started) -> bool:
+    """Whether no process, the build or a helper it left, holds its output
+    open any more, which keeps the lock taken on it before the start."""
+    try:
+        fcntl.flock(build.log_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return False
+    return True
+
+
 def _time_out(build: _Started) -> None:
     """Kill ``build``'s whole process group, so helpers it forked die with it,
     and mark its log."""
     os.killpg(build.proc.pid, signal.SIGKILL)
     build.proc.wait()
-    os.lseek(build.log_fd, 0, os.SEEK_END)
     os.write(build.log_fd, b"\n[build timed out]\n")
     build.exit_code = TIMEOUT_EXIT_CODE
 
 
 def _result(build: _Started, req: BuildRequest) -> BuildResult:
     pb = build.pb
-    # Read through the descriptor the build wrote to, so a build that
-    # replaces its log path cannot change the log it is judged by.
+    # Read through the runner's own descriptor, so a build that replaces
+    # its log path cannot change the log it is judged by.
     os.lseek(build.log_fd, 0, os.SEEK_SET)
     log = open(build.log_fd, "rb", closefd=False).read()
     if build.exit_code == 0:
@@ -174,8 +190,10 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
     Each child sees exactly its profile's env and runs in a session of its
     own, with stdout and stderr going straight into its ``<workdir>.log`` as
     it runs. One selector loop waits on every build's exit, through an exit
-    descriptor where the OS offers one, so no build waits on another. Each
-    build's timeout counts from its own start. On any exception every
+    descriptor where the OS offers one, so no build waits on another. A build
+    ends once it has exited and no process holds its output open any more,
+    so helpers it leaves behind finish before its artifacts are checksummed.
+    Each build's timeout counts from its own start. On any exception every
     started build's process group is killed and reaped before it propagates:
     in their own sessions the builds no longer get the terminal's Ctrl-C.
     """
@@ -188,35 +206,43 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
     try:
         with selectors.DefaultSelector() as sel:
             for pb, entry in zip(pbs, entries):
-                log_fd = os.open(
-                    str(pb.workdir) + ".log", os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666
-                )
+                log_path = str(pb.workdir) + ".log"
+                log_fd = _create_log(log_path)
                 fds.append(log_fd)
+                # The build writes through an open file of its own, so a lock
+                # on it lasts until the last process holding it closes it.
+                out_fd = os.open(log_path, os.O_WRONLY | os.O_NOFOLLOW)
+                fds.append(out_fd)
+                fcntl.flock(out_fd, fcntl.LOCK_SH)
                 start = time.monotonic()
                 proc = subprocess.Popen(
                     [str(entry)],
                     cwd=pb.workdir,
                     env=pb.env,
-                    stdout=log_fd,
+                    stdout=out_fd,
                     stderr=subprocess.STDOUT,
                     start_new_session=True,
                 )
+                os.close(fds.pop())  # out_fd: the build holds its own copy now
                 build = _Started(
                     pb, proc, log_fd, start, start + req.timeout_seconds, _exit_fd(proc.pid)
                 )
                 builds.append(build)
                 if build.exit_fd is not None:
                     fds.append(build.exit_fd)
-                    sel.register(build.exit_fd, selectors.EVENT_READ)
+                    sel.register(build.exit_fd, selectors.EVENT_READ, build)
             while live := [b for b in builds if b.exit_code is None]:
                 wait = max(0.0, min(b.deadline for b in live) - time.monotonic())
                 if any(b.exit_fd is None for b in live):
                     wait = min(wait, _EXIT_POLL_S)
                 for key, _ in sel.select(wait):
                     sel.unregister(key.fileobj)
+                    key.data.exit_fd = None
                 now = time.monotonic()
                 for build in live:
-                    if build.proc.poll() is not None:
+                    # Reaped only once its output is released, so until then
+                    # the process group keeps the build's id for a timeout.
+                    if _output_released(build) and build.proc.poll() is not None:
                         build.exit_code = build.proc.returncode
                     elif build.deadline <= now:
                         _time_out(build)
@@ -268,7 +294,8 @@ def double_build(
             raise ValidationError(f"staging collision: {parked}")
         first_pb.workdir.rename(parked)
         # From the result, not the log path, which the build may have removed.
-        Path(str(parked) + ".log").write_bytes(first.log)
+        with open(_create_log(str(parked) + ".log"), "wb") as parked_log:
+            parked_log.write(first.log)
         if first.artifacts is not None:
             first = dataclasses.replace(first, artifacts=parked / req.output_subdir)
         [second] = run_builds([apply_profile(second_profile, req, staging_root)], req)

@@ -456,6 +456,56 @@ def test_double_build_same_path_keeps_the_first_log_the_build_removed(tmp_path):
     assert parked_log.read_bytes() == b"built\n"
 
 
+def test_double_build_same_path_follows_no_symlink_a_build_planted(tmp_path):
+    targets = [tmp_path / "target-log", tmp_path / "target-first-log"]
+    for target in targets:
+        target.write_text("keep\n")
+    src = make_source(tmp_path, (
+        "import os, pathlib\n"
+        "print('built', flush=True)\n"
+        "work = os.getcwd()\n"
+        "if os.path.lexists(work + '.log'):\n"
+        "    os.unlink(work + '.log')\n"
+        f"os.symlink({str(targets[0])!r}, work + '.log')\n"
+        "if not os.path.lexists(work + '.first.log'):\n"
+        f"    os.symlink({str(targets[1])!r}, work + '.first.log')\n"
+        "pathlib.Path('out').mkdir()\n"
+    ))
+    profile = default_profiles()[0]
+    staging = tmp_path / "staging"
+    verdict = double_build(request(src), profiles=(profile, profile), staging_root=staging)
+    assert verdict.reproducible is True
+    assert verdict.first.log == verdict.second.log == b"built\n"
+    assert [t.read_text() for t in targets] == ["keep\n", "keep\n"]
+    parked_log = staging / (profile.build_path_component + ".first.log")
+    assert not parked_log.is_symlink()
+    assert parked_log.read_bytes() == b"built\n"
+
+
+@pytest.mark.parametrize("exit_fd", [True, False], ids=["exit-fd", "no-exit-fd"])
+def test_run_build_waits_for_a_helper_that_holds_its_output(tmp_path, monkeypatch, exit_fd):
+    # The build exits at once; the helper it started writes later, and both
+    # its output and its artifact belong to the build.
+    if not exit_fd:
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+    helper = (
+        "import pathlib, time\n"
+        "time.sleep(0.3)\n"
+        "print('late', flush=True)\n"
+        "pathlib.Path('out/late.txt').write_text('x')\n"
+    )
+    src = make_source(tmp_path, (
+        "import pathlib, subprocess, sys\n"
+        "pathlib.Path('out').mkdir()\n"
+        f"subprocess.Popen([sys.executable, '-c', {helper!r}])\n"
+    ))
+    req = request(src)
+    result = run_build(apply_profile(default_profiles()[0], req, tmp_path / "staging"), req)
+    assert result.exit_code == 0
+    assert [e.filename for e in result.checksums] == ["late.txt"]
+    assert result.log == b"late\n"
+
+
 _FD_CASES = {
     "success": ("import pathlib\npathlib.Path('out').mkdir()\n", 30, 0),
     "failure": ("import sys\nsys.exit(3)\n", 30, 3),
