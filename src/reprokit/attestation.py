@@ -8,23 +8,20 @@ makes them usable as consensus inputs.
 
 Signing uses Ed25519 detached signatures (64 bytes) over the canonical
 serialization. A builder's key fingerprint is the lowercase hex SHA-256 of
-the raw 32-byte public key.
+the raw 32-byte public key. The Ed25519 backend, ``cryptography``, is
+imported on first key use, so code that never generates, derives, signs
+with or verifies against a key does not load it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 
 from .errors import ParseError, StructuralError, ValidationError
 
@@ -74,6 +71,9 @@ class DependencyPin:
 
 @dataclass(frozen=True)
 class Attestation:
+    """One build's record: source, version, architecture, artifact checksums,
+    pinned dependencies, environment and the builder that made it."""
+
     source: str
     version: str
     architecture: str
@@ -443,16 +443,31 @@ def parse_buildinfo(data: bytes) -> Attestation:
 # -- signing ----------------------------------------------------------------
 
 
+@functools.cache
+def _ed25519():
+    """``(Ed25519PrivateKey, Ed25519PublicKey, InvalidSignature)``, imported
+    from ``cryptography`` on the first call."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+        Ed25519PublicKey,
+    )
+
+    return Ed25519PrivateKey, Ed25519PublicKey, InvalidSignature
+
+
 def generate_signing_key() -> tuple[bytes, bytes]:
     """Return (private, public) raw Ed25519 key bytes (32 bytes each)."""
-    private = Ed25519PrivateKey.generate()
+    private_key_class, _, _ = _ed25519()
+    private = private_key_class.generate()
     private_raw = private.private_bytes_raw()
     public_raw = private.public_key().public_bytes_raw()
     return private_raw, public_raw
 
 
 def public_key_for(private_key: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(private_key).public_key().public_bytes_raw()
+    private_key_class, _, _ = _ed25519()
+    return private_key_class.from_private_bytes(private_key).public_key().public_bytes_raw()
 
 
 def key_fingerprint(public_key: bytes) -> str:
@@ -464,7 +479,8 @@ def sign_attestation(att: Attestation, private_key: bytes) -> SignedAttestation:
     """Sign the canonical serialization with a raw 32-byte Ed25519 key."""
     if len(private_key) != 32:
         raise ValidationError("private key must be 32 raw Ed25519 bytes")
-    key = Ed25519PrivateKey.from_private_bytes(private_key)
+    private_key_class, _, _ = _ed25519()
+    key = private_key_class.from_private_bytes(private_key)
     body = serialize_buildinfo(att)
     signature = key.sign(body)
     return SignedAttestation(
@@ -479,10 +495,11 @@ def verify_signature(sa: SignedAttestation, public_key: bytes) -> bool:
 
     Total: malformed keys or signature bytes yield False, never an exception.
     """
+    _, public_key_class, invalid_signature = _ed25519()
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(sa.signature, sa.body)
+        public_key_class.from_public_bytes(public_key).verify(sa.signature, sa.body)
         return True
-    except (InvalidSignature, ValueError, TypeError):
+    except (invalid_signature, ValueError, TypeError):
         return False
 
 

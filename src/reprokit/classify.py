@@ -43,6 +43,9 @@ class Confidence(enum.Enum):
 
 @dataclass(frozen=True)
 class RootCauseFinding:
+    """A likely cause of one difference, the node it was found at, and the
+    first and second builds' evidence for it."""
+
     cause: RootCause
     node_path: str
     confidence: Confidence

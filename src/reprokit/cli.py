@@ -21,9 +21,9 @@ import functools
 import html
 import json
 import sys
-import tempfile
 import zlib
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .attestation import (
@@ -52,8 +52,12 @@ from .consensus import AttestationStore, Decision, verdict
 from .errors import ReproError
 from .fixtures import ALL_KINDS, generate_all, generate_fixture, kind_from_token, remediate_fixture
 from .normalize import NormalizePolicy, normalize_auto, policy_from_env
-from .runner import META_FILENAME, ReproVerdict, attest_build, double_build, parse_meta, run_build
 from .varenv import BuildRequest, apply_profile, default_profiles, load_profile
+
+# The build runner loads in the commands that build (check and attest) and
+# the Ed25519 backend on first key use, so other commands import neither.
+if TYPE_CHECKING:
+    from .runner import ReproVerdict
 
 _STYLES = {
     "text": ReportStyle.TEXT,
@@ -152,12 +156,16 @@ def _staging(given: str | None) -> contextlib.AbstractContextManager[str]:
     """The given staging root, or a temporary one removed when the command ends."""
     if given:
         return contextlib.nullcontext(given)
+    import tempfile
+
     return tempfile.TemporaryDirectory(prefix="reprokit-")
 
 
 def _report_failed_builds(results, staging: str | None) -> None:
     """Keep each failed build's log, under ``--staging`` or else in a new
     ``reprokit-logs-*`` directory, and name it on stderr."""
+    import tempfile
+
     log_dir = Path(staging) if staging else Path(tempfile.mkdtemp(prefix="reprokit-logs-"))
     for slot, result in results:
         if result.exit_code != 0:
@@ -171,6 +179,8 @@ def _report_failed_builds(results, staging: str | None) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .runner import META_FILENAME, double_build, parse_meta
+
     source = Path(args.source_dir)
     parse_meta(source / META_FILENAME)
     req = BuildRequest(
@@ -230,6 +240,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_attest(args: argparse.Namespace) -> int:
+    from .runner import META_FILENAME, attest_build, parse_meta, run_build
+
     source = Path(args.source_dir)
     meta = parse_meta(source / META_FILENAME)
     key_path = Path(args.key)

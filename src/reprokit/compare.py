@@ -70,6 +70,9 @@ class TextDiff:
 
 @dataclass(frozen=True)
 class ByteRange:
+    """One differing run of bytes: where it starts, each side's length and hex,
+    and whether each side is all zero."""
+
     offset: int
     len_first: int
     len_second: int
@@ -81,6 +84,8 @@ class ByteRange:
 
 @dataclass(frozen=True)
 class ByteRanges:
+    """The differing byte runs of two opaque blobs, in offset order."""
+
     ranges: tuple[ByteRange, ...]
 
 
@@ -96,6 +101,9 @@ Detail = TextDiff | ByteRanges | MetaDiff
 
 @dataclass(frozen=True)
 class DiffNode:
+    """One node of the difference tree: a path, its format and status, what
+    differs at this level, and the nodes for its members."""
+
     path: str
     format: Format
     status: Status

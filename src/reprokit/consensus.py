@@ -48,6 +48,9 @@ class Decision(enum.Enum):
 
 @dataclass(frozen=True)
 class ConsensusTally:
+    """The SHA-256 digests stored attestations claim for one artifact, each
+    with the number of builders that claim it."""
+
     artifact: str
     counts: dict[str, int]
     total_builders: int
@@ -55,6 +58,9 @@ class ConsensusTally:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The trust decision for a local artifact, with the majority digest and
+    how many of the builders agree with it."""
+
     decision: Decision
     majority_checksum: str | None
     agreeing: int

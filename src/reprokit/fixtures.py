@@ -70,6 +70,9 @@ DESIGNED_CAUSES: dict[FixtureKind, RootCause] = {
 
 @dataclass(frozen=True)
 class _FixtureDef:
+    """One fixture's source files, its defective and fixed build scripts, and
+    its pinned dependencies."""
+
     files: tuple[tuple[str, str], ...]
     build: str
     fixed_build: str

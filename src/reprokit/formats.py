@@ -295,6 +295,8 @@ _GZIP_FNAME = 8
 
 @dataclass(frozen=True)
 class GzipStream:
+    """A decoded gzip file: its payload and the header's mtime and filename."""
+
     payload: bytes
     mtime: int
     filename: str | None

@@ -38,6 +38,9 @@ from .formats import (
 
 @dataclass(frozen=True)
 class NormalizePolicy:
+    """What normalization does: the timestamp clamp, and whether owners are
+    zeroed and members sorted."""
+
     epoch: int
     zero_ownership: bool = True
     sort_members: bool = True

@@ -55,6 +55,9 @@ META_FILENAME = "repro.meta"
 
 @dataclass(frozen=True)
 class BuildResult:
+    """One build's outcome: exit code, artifacts and their checksums, run time,
+    log, and the environment it ran in."""
+
     profile_name: str
     exit_code: int
     artifacts: Path | None
@@ -66,6 +69,9 @@ class BuildResult:
 
 @dataclass(frozen=True)
 class ReproVerdict:
+    """A double build's outcome: both results and the artifacts that differ or
+    that only one build made."""
+
     reproducible: bool
     first: BuildResult
     second: BuildResult
@@ -75,6 +81,9 @@ class ReproVerdict:
 
 @dataclass(frozen=True)
 class SourceMeta:
+    """A source tree's ``repro.meta``: name, version, architecture and pinned
+    dependencies."""
+
     source: str
     version: str
     architecture: str

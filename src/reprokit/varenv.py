@@ -45,18 +45,24 @@ class FsOrdering:
 
 @dataclass(frozen=True)
 class Forward(FsOrdering):
+    """Directory entries in bytewise ascending order."""
+
     def token(self) -> str:
         return "forward"
 
 
 @dataclass(frozen=True)
 class Reverse(FsOrdering):
+    """Directory entries in bytewise descending order."""
+
     def token(self) -> str:
         return "reverse"
 
 
 @dataclass(frozen=True)
 class Shuffled(FsOrdering):
+    """Directory entries in a permutation fixed by a 64-bit seed."""
+
     seed: int
 
     def __post_init__(self) -> None:
@@ -158,6 +164,9 @@ class VariationProfile:
 
 @dataclass(frozen=True)
 class BuildRequest:
+    """What to build: the source tree, its build entry point, the artifact
+    directory it writes and the time limit."""
+
     source_dir: Path
     build_entry: str
     output_subdir: str
@@ -166,6 +175,8 @@ class BuildRequest:
 
 @dataclass(frozen=True)
 class PreparedBuild:
+    """A staged build: its working copy, environment and profile."""
+
     workdir: Path
     env: dict[str, str]
     profile: VariationProfile

@@ -682,3 +682,90 @@ def test_version_names_reprokit_and_its_zlib(capsys):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"]["version"] == reprokit.__version__
+
+
+#: Modules that only some commands need: the Ed25519 backend and the build runner.
+WATCHED = ("cryptography", "reprokit.runner", "subprocess")
+
+_PROBE = (
+    "import json, sys\n"
+    "backend, mode, *argv = sys.argv[1:]\n"
+    "if backend == 'blocked':\n"
+    "    sys.modules['cryptography'] = None\n"
+    "from reprokit import cli\n"
+    "code = cli.main(argv) if mode == 'run' else 0\n"
+    "sys.stdout.flush()\n"
+    f"loaded = [m for m in {WATCHED!r} if sys.modules.get(m) is not None]\n"
+    "sys.stderr.write(json.dumps(loaded) + '\\n')\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_probed(argv: list[str] | None, cwd: Path, *, backend: bool = True):
+    """Exit code, stdout and the ``WATCHED`` modules loaded after one
+    ``cli.main`` call in a fresh interpreter; ``argv=None`` only imports the
+    CLI. Without ``backend``, importing ``cryptography`` fails there."""
+    mode = ["present" if backend else "blocked", "import" if argv is None else "run"]
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *mode, *(argv or [])],
+                          capture_output=True, cwd=cwd, env=source_tree_env())
+    assert proc.stderr.endswith(b"]\n"), proc.stderr.decode()
+    return proc.returncode, proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
+def probe_cases(tmp_path) -> dict[str, tuple[list[str] | None, int, list[str]]]:
+    """Per case: argv, exit code, and the ``WATCHED`` modules it must load."""
+    from reprokit.consensus import AttestationStore
+
+    generate_fixture(FixtureKind.TIMESTAMP, tmp_path / "src")
+    first, second = tmp_path / "a.tar", tmp_path / "b.tar"
+    first.write_bytes(write_tar([Member(name="f", content=b"x", mtime=50, uid=77)]))
+    second.write_bytes(write_tar([Member(name="f", content=b"y", mtime=60)]))
+    good = hashlib.sha256(b"good").hexdigest()
+    store_dir = consensus_setup(tmp_path, [good])
+    listed = tmp_path / "pkg.deb"
+    listed.write_bytes(b"payload\n")
+    signed_path, pub_path = signed_pair(tmp_path, listed)
+    submit_store = tmp_path / "submit-store"
+    AttestationStore(submit_store).register_builder("rebuilder-01", pub_path.read_bytes())
+    runner, backend = ["reprokit.runner", "subprocess"], ["cryptography"]
+    return {
+        "import": (None, 0, []),
+        "diff": (["diff", str(first), str(second), "--format", "json"], 1, []),
+        "normalize": (["normalize", "--epoch", "100", str(first), "-"], 0, []),
+        "fixtures-generate": (["fixtures", "generate", "--kind", "control",
+                               "--dest", "generated"], 0, []),
+        "verify": (["verify", str(listed), "--attestation", str(signed_path)], 0, []),
+        "consensus-register": (["consensus", "register", "--store", str(store_dir),
+                                "--builder-id", "newcomer", "--pubkey", str(pub_path)], 0, []),
+        "check": (["check", "src", "--report", "check.json", "--format", "json"], 1, runner),
+        "attest": (["attest", "src", "--builder-id", "b-01", "--key", "k", "--generate-key",
+                    "--out", "att.signed"], 0, backend + runner),
+        "verify-pubkey": (["verify", str(listed), "--attestation", str(signed_path),
+                           "--pubkey", str(pub_path)], 0, backend),
+        "consensus-submit": (["consensus", "submit", "--store", str(submit_store),
+                              "--attestation", str(signed_path)], 0, backend),
+        "consensus-verdict": (verdict_args(store_dir, good), 0, backend),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "import", "diff", "normalize", "fixtures-generate", "verify", "consensus-register",
+    "check", "attest", "verify-pubkey", "consensus-submit", "consensus-verdict",
+])
+def test_each_command_loads_only_the_backend_and_runner_it_uses(tmp_path, case):
+    argv, expected_code, expected_loaded = probe_cases(tmp_path)[case]
+    code, _, loaded = run_probed(argv, tmp_path)
+    assert (code, loaded) == (expected_code, expected_loaded)
+
+
+@pytest.mark.parametrize("case", ["diff", "normalize", "check", "verify"])
+def test_keyless_commands_run_the_same_without_the_ed25519_backend(tmp_path, case):
+    argv, _, _ = probe_cases(tmp_path)[case]
+    report = tmp_path / "check.json"
+    runs = []
+    for backend in (True, False):
+        code, out, _ = run_probed(argv, tmp_path, backend=backend)
+        runs.append((code, out, report.read_bytes() if report.exists() else None))
+        report.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    assert runs[0][1], "the command printed nothing"
