@@ -20,10 +20,12 @@ import functools
 import hashlib
 import os
 import re
+import stat
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError, StructuralError, ValidationError
+from .errors import ParseError, ReproError, StructuralError, ValidationError
 
 _SHA1_RE = re.compile(r"[0-9a-f]{40}")
 #: A lowercase hex SHA-256 digest, matched with ``fullmatch``.
@@ -229,10 +231,19 @@ def _check_parsed(att: Attestation) -> None:
 
 @contextlib.contextmanager
 def _read_artifact(path: Path):
-    """Open an artifact file for reading; any failure names the file."""
+    """Open an artifact file for reading and yield it with its ``fstat``;
+    any failure names the file.
+
+    The open does not block and anything but a regular file is refused, so
+    a FIFO or device left where an artifact should be cannot hang the read.
+    ``O_NONBLOCK`` leaves reads of a regular file as they are.
+    """
     try:
-        with path.open("rb") as f:
-            yield f
+        with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as f:
+            st = os.fstat(f.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise StructuralError(f"not a regular file: {path}")
+            yield f, st
     except OSError as err:
         raise OSError(f"cannot read artifact file {path}: {err}") from err
 
@@ -241,23 +252,54 @@ def artifact_size(path: Path | str) -> int:
     """Size of one artifact file, read from the file opened as
     :func:`checksum_file` opens it, so a file it could not read fails here
     with the same error and without hashing a byte."""
-    with _read_artifact(Path(path)) as f:
-        return os.fstat(f.fileno()).st_size
+    with _read_artifact(Path(path)) as (_, st):
+        return st.st_size
+
+
+def _start_sha1_helper(sha1) -> tuple:
+    """Start a thread that feeds ``sha1`` each chunk handed to the returned
+    ``put`` until ``put(None)``; the queue between them holds one chunk.
+    Returns ``(put, thread)``."""
+    import queue  # here, so that commands which hash no large file do not load it
+
+    chunks: queue.Queue[bytes | None] = queue.Queue(maxsize=1)
+
+    def drain() -> None:
+        while (chunk := chunks.get()) is not None:
+            sha1.update(chunk)
+
+    helper = threading.Thread(target=drain, name="reprokit-sha1", daemon=True)
+    helper.start()
+    return chunks.put, helper
 
 
 def checksum_file(path: Path | str) -> ChecksumEntry:
     """Size, SHA-1 and SHA-256 of one artifact file, under its basename.
 
-    The file is read in chunks of ``_HASH_CHUNK`` bytes, so memory stays
-    bounded whatever the artifact's size.
+    The file is read in chunks of ``_HASH_CHUNK`` bytes on the calling
+    thread, which feeds SHA-256. A file larger than one chunk also gets one
+    helper thread, which feeds SHA-1 the same chunks; hashlib releases the
+    GIL for buffers this large, so the two digests run side by side. A
+    smaller file is hashed on the calling thread alone, where starting and
+    joining a thread would cost more than the overlap saves. At most three
+    chunks are alive at once whatever the artifact's size, and the helper
+    has ended whenever this returns or raises.
     """
     path = Path(path)
     sha1, sha256, size = hashlib.sha1(), hashlib.sha256(), 0
-    with _read_artifact(path) as f:
-        while chunk := f.read(_HASH_CHUNK):
-            sha1.update(chunk)
-            sha256.update(chunk)
-            size += len(chunk)
+    with _read_artifact(path) as (f, st):
+        feed_sha1, helper = sha1.update, None
+        if st.st_size > _HASH_CHUNK:
+            feed_sha1, helper = _start_sha1_helper(sha1)
+        try:
+            while chunk := f.read(_HASH_CHUNK):
+                feed_sha1(chunk)
+                sha256.update(chunk)
+                size += len(chunk)
+        finally:
+            if helper is not None:
+                feed_sha1(None)
+                helper.join()
     return ChecksumEntry(
         filename=path.name,
         size=size,
@@ -446,12 +488,19 @@ def parse_buildinfo(data: bytes) -> Attestation:
 @functools.cache
 def _ed25519():
     """``(Ed25519PrivateKey, Ed25519PublicKey, InvalidSignature)``, imported
-    from ``cryptography`` on the first call."""
-    from cryptography.exceptions import InvalidSignature
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-        Ed25519PrivateKey,
-        Ed25519PublicKey,
-    )
+    from ``cryptography`` on the first call.
+
+    A missing or broken backend is a ReproError, so the CLI reports it as an
+    input error (exit 3) and never as a verdict.
+    """
+    try:
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+            Ed25519PrivateKey,
+            Ed25519PublicKey,
+        )
+    except ImportError as err:
+        raise ReproError(f"cannot load the Ed25519 backend 'cryptography': {err}") from err
 
     return Ed25519PrivateKey, Ed25519PublicKey, InvalidSignature
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import errno
 import hashlib
 import itertools
 import random
+import threading
 import tracemalloc
 
 import pytest
@@ -125,6 +128,61 @@ def test_checksum_file_streams_large_files(tmp_path):
 def test_checksum_file_unreadable(tmp_path):
     with pytest.raises(OSError, match="cannot read artifact file .*absent.deb"):
         checksum_file(tmp_path / "absent.deb")
+
+
+@pytest.mark.parametrize("size", [
+    0, 1, attestation._HASH_CHUNK - 1, attestation._HASH_CHUNK, attestation._HASH_CHUNK + 1,
+    3 * attestation._HASH_CHUNK + 7,
+])
+def test_checksum_file_matches_hashlib_at_chunk_edges(tmp_path, size):
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "pkg.deb"
+    path.write_bytes(data)
+    threads = threading.active_count()
+    assert checksum_file(path) == ChecksumEntry(
+        filename="pkg.deb",
+        size=size,
+        sha1=hashlib.sha1(data).hexdigest(),
+        sha256=hashlib.sha256(data).hexdigest(),
+    )
+    assert threading.active_count() == threads
+
+
+class _FailingFile:
+    """A file whose read fails with EIO once ``good_reads`` reads succeeded."""
+
+    def __init__(self, f, good_reads: int):
+        self._f, self._left = f, good_reads
+
+    def read(self, size: int) -> bytes:
+        if not self._left:
+            raise OSError(errno.EIO, "Input/output error")
+        self._left -= 1
+        return self._f.read(size)
+
+
+@pytest.mark.parametrize("good_reads", [0, 1, 3])
+def test_checksum_file_read_error_leaves_no_thread(tmp_path, monkeypatch, good_reads):
+    path = tmp_path / "pkg.deb"
+    path.write_bytes(random.Random(3).randbytes(5 * attestation._HASH_CHUNK))
+    real_reader = attestation._read_artifact
+
+    @contextlib.contextmanager
+    def failing_reader(p):
+        with real_reader(p) as (f, st):
+            yield _FailingFile(f, good_reads), st
+
+    monkeypatch.setattr(attestation, "_read_artifact", failing_reader)
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="cannot read artifact file .*pkg.deb: .*Input/output error"):
+        checksum_file(path)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("read", [attestation.artifact_size, checksum_file])
+def test_artifact_readers_refuse_what_is_not_a_regular_file(read):
+    with pytest.raises(StructuralError, match="^not a regular file: /dev/null$"):
+        read("/dev/null")
 
 
 def test_compute_checksums_sorted_by_filename(tmp_path):

@@ -424,6 +424,39 @@ def test_verify_unreadable_artifact_is_refused_before_anything_is_printed(tmp_pa
     assert captured.err.startswith(f"error: cannot read artifact file {artifact}: ")
 
 
+@pytest.mark.parametrize("node", ["fifo", "/dev/zero"])
+def test_verify_refuses_what_is_not_a_regular_file(tmp_path, node):
+    """A FIFO or device is refused before a read that would never end; the
+    command runs in a child process, so a hang fails at the timeout."""
+    listed = tmp_path / "pkg.deb"
+    listed.write_bytes(b"payload\n")
+    signed_path, _ = signed_pair(tmp_path, listed)
+    if node == "fifo":
+        (tmp_path / "fifo").mkdir()
+        node = tmp_path / "fifo" / "pkg.deb"
+        os.mkfifo(node)
+    proc = subprocess.run(
+        [sys.executable, "-m", "reprokit.cli", "verify", str(node),
+         "--attestation", str(signed_path)],
+        capture_output=True, text=True, cwd=tmp_path, env=source_tree_env(), timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr == f"error: not a regular file: {node}\n"
+
+
+def test_check_refuses_a_fifo_the_build_leaves_in_its_output(tmp_path):
+    """A build that exits 0 leaving a FIFO among its artifacts is an input
+    error, not a read that never ends; a hang fails at the timeout."""
+    src = make_tree(tmp_path, "import os\nos.mkdir('out')\nos.mkfifo('out/pkg.deb')\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "reprokit.cli", "check", str(src), "--staging", "stage"],
+        capture_output=True, text=True, cwd=tmp_path, env=source_tree_env(), timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr.startswith("error: not a regular file: "), proc.stderr
+    assert proc.stderr.endswith("/out/pkg.deb\n"), proc.stderr
+
+
 def test_parser_is_built_once_per_process_and_not_at_import(tmp_path):
     script = (
         "from reprokit import cli\n"
@@ -684,8 +717,10 @@ def test_version_names_reprokit_and_its_zlib(capsys):
     assert tomllib.loads(pyproject.read_text())["project"]["version"] == reprokit.__version__
 
 
-#: Modules that only some commands need: the Ed25519 backend and the build runner.
-WATCHED = ("cryptography", "reprokit.runner", "subprocess")
+#: Modules that only some commands need: the Ed25519 backend, the build
+#: runner, and the queue that hands chunks of a large file to the SHA-1
+#: helper thread.
+WATCHED = ("cryptography", "reprokit.runner", "subprocess", "queue")
 
 _PROBE = (
     "import json, sys\n"
@@ -702,18 +737,21 @@ _PROBE = (
 
 
 def run_probed(argv: list[str] | None, cwd: Path, *, backend: bool = True):
-    """Exit code, stdout and the ``WATCHED`` modules loaded after one
-    ``cli.main`` call in a fresh interpreter; ``argv=None`` only imports the
-    CLI. Without ``backend``, importing ``cryptography`` fails there."""
+    """Exit code, stdout, the stderr lines the command wrote and the
+    ``WATCHED`` modules loaded after one ``cli.main`` call in a fresh
+    interpreter; ``argv=None`` only imports the CLI. Without ``backend``,
+    importing ``cryptography`` fails there."""
     mode = ["present" if backend else "blocked", "import" if argv is None else "run"]
     proc = subprocess.run([sys.executable, "-c", _PROBE, *mode, *(argv or [])],
                           capture_output=True, cwd=cwd, env=source_tree_env())
     assert proc.stderr.endswith(b"]\n"), proc.stderr.decode()
-    return proc.returncode, proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+    *err, loaded = proc.stderr.decode().splitlines()
+    return proc.returncode, proc.stdout, err, json.loads(loaded)
 
 
 def probe_cases(tmp_path) -> dict[str, tuple[list[str] | None, int, list[str]]]:
     """Per case: argv, exit code, and the ``WATCHED`` modules it must load."""
+    from reprokit.attestation import _HASH_CHUNK
     from reprokit.consensus import AttestationStore
 
     generate_fixture(FixtureKind.TIMESTAMP, tmp_path / "src")
@@ -723,25 +761,27 @@ def probe_cases(tmp_path) -> dict[str, tuple[list[str] | None, int, list[str]]]:
     good = hashlib.sha256(b"good").hexdigest()
     store_dir = consensus_setup(tmp_path, [good])
     listed = tmp_path / "pkg.deb"
-    listed.write_bytes(b"payload\n")
+    # One byte over a chunk, so hashing it starts the SHA-1 helper thread;
+    # the build outputs of check and attest are smaller and do not.
+    listed.write_bytes(b"x" * _HASH_CHUNK + b"\n")
     signed_path, pub_path = signed_pair(tmp_path, listed)
     submit_store = tmp_path / "submit-store"
     AttestationStore(submit_store).register_builder("rebuilder-01", pub_path.read_bytes())
-    runner, backend = ["reprokit.runner", "subprocess"], ["cryptography"]
+    runner, backend, hashing = ["reprokit.runner", "subprocess"], ["cryptography"], ["queue"]
     return {
         "import": (None, 0, []),
         "diff": (["diff", str(first), str(second), "--format", "json"], 1, []),
         "normalize": (["normalize", "--epoch", "100", str(first), "-"], 0, []),
         "fixtures-generate": (["fixtures", "generate", "--kind", "control",
                                "--dest", "generated"], 0, []),
-        "verify": (["verify", str(listed), "--attestation", str(signed_path)], 0, []),
+        "verify": (["verify", str(listed), "--attestation", str(signed_path)], 0, hashing),
         "consensus-register": (["consensus", "register", "--store", str(store_dir),
                                 "--builder-id", "newcomer", "--pubkey", str(pub_path)], 0, []),
         "check": (["check", "src", "--report", "check.json", "--format", "json"], 1, runner),
         "attest": (["attest", "src", "--builder-id", "b-01", "--key", "k", "--generate-key",
                     "--out", "att.signed"], 0, backend + runner),
         "verify-pubkey": (["verify", str(listed), "--attestation", str(signed_path),
-                           "--pubkey", str(pub_path)], 0, backend),
+                           "--pubkey", str(pub_path)], 0, backend + hashing),
         "consensus-submit": (["consensus", "submit", "--store", str(submit_store),
                               "--attestation", str(signed_path)], 0, backend),
         "consensus-verdict": (verdict_args(store_dir, good), 0, backend),
@@ -754,7 +794,7 @@ def probe_cases(tmp_path) -> dict[str, tuple[list[str] | None, int, list[str]]]:
 ])
 def test_each_command_loads_only_the_backend_and_runner_it_uses(tmp_path, case):
     argv, expected_code, expected_loaded = probe_cases(tmp_path)[case]
-    code, _, loaded = run_probed(argv, tmp_path)
+    code, _, _, loaded = run_probed(argv, tmp_path)
     assert (code, loaded) == (expected_code, expected_loaded)
 
 
@@ -764,8 +804,20 @@ def test_keyless_commands_run_the_same_without_the_ed25519_backend(tmp_path, cas
     report = tmp_path / "check.json"
     runs = []
     for backend in (True, False):
-        code, out, _ = run_probed(argv, tmp_path, backend=backend)
+        code, out, _, _ = run_probed(argv, tmp_path, backend=backend)
         runs.append((code, out, report.read_bytes() if report.exists() else None))
         report.unlink(missing_ok=True)
     assert runs[0] == runs[1]
     assert runs[0][1], "the command printed nothing"
+
+
+@pytest.mark.parametrize("case", [
+    "attest", "verify-pubkey", "consensus-submit", "consensus-verdict",
+])
+def test_key_commands_without_the_ed25519_backend_are_input_errors(tmp_path, case):
+    """A missing backend is exit 3 with one error line, never a verdict."""
+    argv, _, _ = probe_cases(tmp_path)[case]
+    code, out, err, _ = run_probed(argv, tmp_path, backend=False)
+    assert (code, out) == (3, b""), err
+    assert len(err) == 1 and err[0].startswith(
+        "error: cannot load the Ed25519 backend 'cryptography': "), err
