@@ -256,50 +256,37 @@ def artifact_size(path: Path | str) -> int:
         return st.st_size
 
 
-def _start_sha1_helper(sha1) -> tuple:
-    """Start a thread that feeds ``sha1`` each chunk handed to the returned
-    ``put`` until ``put(None)``; the queue between them holds one chunk.
-    Returns ``(put, thread)``."""
-    import queue  # here, so that commands which hash no large file do not load it
-
-    chunks: queue.Queue[bytes | None] = queue.Queue(maxsize=1)
-
-    def drain() -> None:
-        while (chunk := chunks.get()) is not None:
-            sha1.update(chunk)
-
-    helper = threading.Thread(target=drain, name="reprokit-sha1", daemon=True)
-    helper.start()
-    return chunks.put, helper
-
-
 def checksum_file(path: Path | str) -> ChecksumEntry:
     """Size, SHA-1 and SHA-256 of one artifact file, under its basename.
 
     The file is read in chunks of ``_HASH_CHUNK`` bytes on the calling
-    thread, which feeds SHA-256. A file larger than one chunk also gets one
-    helper thread, which feeds SHA-1 the same chunks; hashlib releases the
-    GIL for buffers this large, so the two digests run side by side. A
-    smaller file is hashed on the calling thread alone, where starting and
-    joining a thread would cost more than the overlap saves. At most three
-    chunks are alive at once whatever the artifact's size, and the helper
-    has ended whenever this returns or raises.
+    thread, which feeds SHA-256, and one helper thread feeds SHA-1 the same
+    chunks through a queue that holds one of them. hashlib releases the GIL
+    for buffers this large, so the two digests run side by side. At most
+    three chunks are alive at once whatever the artifact's size, and the
+    helper has ended whenever this returns or raises.
     """
+    import queue  # here, so that commands which hash nothing do not load it
+
     path = Path(path)
     sha1, sha256, size = hashlib.sha1(), hashlib.sha256(), 0
-    with _read_artifact(path) as (f, st):
-        feed_sha1, helper = sha1.update, None
-        if st.st_size > _HASH_CHUNK:
-            feed_sha1, helper = _start_sha1_helper(sha1)
+    chunks: queue.Queue[bytes | None] = queue.Queue(maxsize=1)
+
+    def feed_sha1() -> None:
+        while (chunk := chunks.get()) is not None:
+            sha1.update(chunk)
+
+    with _read_artifact(path) as (f, _):
+        helper = threading.Thread(target=feed_sha1, name="reprokit-sha1", daemon=True)
+        helper.start()
         try:
             while chunk := f.read(_HASH_CHUNK):
-                feed_sha1(chunk)
+                chunks.put(chunk)
                 sha256.update(chunk)
                 size += len(chunk)
         finally:
-            if helper is not None:
-                feed_sha1(None)
-                helper.join()
+            chunks.put(None)
+            helper.join()
     return ChecksumEntry(
         filename=path.name,
         size=size,

@@ -718,7 +718,7 @@ def test_version_names_reprokit_and_its_zlib(capsys):
 
 
 #: Modules that only some commands need: the Ed25519 backend, the build
-#: runner, and the queue that hands chunks of a large file to the SHA-1
+#: runner, and the queue that hands each chunk of an artifact to the SHA-1
 #: helper thread.
 WATCHED = ("cryptography", "reprokit.runner", "subprocess", "queue")
 
@@ -751,7 +751,6 @@ def run_probed(argv: list[str] | None, cwd: Path, *, backend: bool = True):
 
 def probe_cases(tmp_path) -> dict[str, tuple[list[str] | None, int, list[str]]]:
     """Per case: argv, exit code, and the ``WATCHED`` modules it must load."""
-    from reprokit.attestation import _HASH_CHUNK
     from reprokit.consensus import AttestationStore
 
     generate_fixture(FixtureKind.TIMESTAMP, tmp_path / "src")
@@ -761,9 +760,7 @@ def probe_cases(tmp_path) -> dict[str, tuple[list[str] | None, int, list[str]]]:
     good = hashlib.sha256(b"good").hexdigest()
     store_dir = consensus_setup(tmp_path, [good])
     listed = tmp_path / "pkg.deb"
-    # One byte over a chunk, so hashing it starts the SHA-1 helper thread;
-    # the build outputs of check and attest are smaller and do not.
-    listed.write_bytes(b"x" * _HASH_CHUNK + b"\n")
+    listed.write_bytes(b"payload\n")
     signed_path, pub_path = signed_pair(tmp_path, listed)
     submit_store = tmp_path / "submit-store"
     AttestationStore(submit_store).register_builder("rebuilder-01", pub_path.read_bytes())
@@ -777,9 +774,10 @@ def probe_cases(tmp_path) -> dict[str, tuple[list[str] | None, int, list[str]]]:
         "verify": (["verify", str(listed), "--attestation", str(signed_path)], 0, hashing),
         "consensus-register": (["consensus", "register", "--store", str(store_dir),
                                 "--builder-id", "newcomer", "--pubkey", str(pub_path)], 0, []),
-        "check": (["check", "src", "--report", "check.json", "--format", "json"], 1, runner),
+        "check": (["check", "src", "--report", "check.json", "--format", "json"], 1,
+                  runner + hashing),
         "attest": (["attest", "src", "--builder-id", "b-01", "--key", "k", "--generate-key",
-                    "--out", "att.signed"], 0, backend + runner),
+                    "--out", "att.signed"], 0, backend + runner + hashing),
         "verify-pubkey": (["verify", str(listed), "--attestation", str(signed_path),
                            "--pubkey", str(pub_path)], 0, backend + hashing),
         "consensus-submit": (["consensus", "submit", "--store", str(submit_store),
