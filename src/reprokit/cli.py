@@ -195,6 +195,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     if v.first.exit_code != 0 or v.second.exit_code != 0:
         _report_failed_builds((("first", v.first), ("second", v.second)), args.staging)
         return 4
+    for result in (v.first, v.second):
+        # A log outlives the command only under --staging.
+        kept = f", log: {result.log_path}" if result.log_path.is_file() else ""
+        print(f"build under profile '{result.profile_name}': "
+              f"duration_ms={result.duration_ms}{kept}", file=sys.stderr)
 
     # Bare Unix-timestamp integers are recognized near the builds' own clocks.
     epochs = tuple(int(p.env["REPRO_EPOCH"]) for p in profiles)

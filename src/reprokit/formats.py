@@ -16,7 +16,9 @@ Each on-disk record is one full-width ``struct.Struct`` that its parser
 unpacks and its writer packs; ``pack`` NUL-pads short byte fields and cuts
 long ones, so writers check lengths and ranges first. Every deflated body,
 gzip or zip, is raw deflate at zlib level 6, the default of GNU ``gzip -n``
-and ``git archive``.
+and ``git archive``. A body of more than ``DEFLATE_BLOCK`` bytes is deflated
+in blocks of that size, as ``pigz`` does, side by side on the usable CPUs;
+the bytes depend on the block size and never on the number of threads.
 
 Members carry the union of the metadata the three formats support; fields a
 format lacks stay None. This module also owns the decisions every reader of
@@ -27,6 +29,8 @@ containers are opened, and which member fields count as metadata.
 from __future__ import annotations
 
 import enum
+import functools
+import os
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -329,10 +333,51 @@ def parse_gzip(data: bytes) -> GzipStream:
     return GzipStream(payload=payload, mtime=mtime, filename=filename)
 
 
+#: Input bytes per canonical deflate block. It is part of the canonical
+#: format: another size deflates a longer body to other bytes.
+DEFLATE_BLOCK = 128 * 1024
+#: Input bytes before a block that prime its compressor: deflate's window.
+_DEFLATE_WINDOW = 32 * 1024
+
+
+def _deflate_block(data: bytes, start: int) -> bytes:
+    """The block of ``data`` at ``start``, deflated at level 6 by a compressor
+    primed with the input before it. A block that is not the last ends with
+    a sync flush, so the next block's deflate starts on a byte boundary."""
+    end = start + DEFLATE_BLOCK
+    if start:
+        comp = zlib.compressobj(6, wbits=-15, zdict=data[max(0, start - _DEFLATE_WINDOW):start])
+    else:
+        comp = zlib.compressobj(6, wbits=-15)
+    body = comp.compress(data[start:end])
+    return body + comp.flush(zlib.Z_SYNC_FLUSH if end < len(data) else zlib.Z_FINISH)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
+
+
 def _deflate(data: bytes) -> bytes:
-    """The canonical deflate body: raw deflate (no zlib header) at level 6."""
-    comp = zlib.compressobj(level=6, wbits=-15)
-    return comp.compress(data) + comp.flush()
+    """The canonical deflate body: raw deflate (no zlib header) at level 6.
+
+    The body is one stream deflated in ``DEFLATE_BLOCK``-byte blocks, each
+    by its own compressor primed with up to 32 KiB of the input before it.
+    Every block but the last ends with a sync flush, and the last ends the
+    stream. A body of one block is deflated by one compressor in one call,
+    so its bytes are plain level-6 raw deflate. zlib releases the GIL while
+    it deflates, so the blocks of a longer body are deflated on up to one
+    thread per usable CPU; the threads are joined before this returns.
+    """
+    starts = range(0, len(data), DEFLATE_BLOCK)
+    if len(starts) <= 1:
+        return _deflate_block(data, 0)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(len(starts), _usable_cpus())) as pool:
+        return b"".join(pool.map(functools.partial(_deflate_block, data), starts))
 
 
 def write_gzip(payload: bytes, mtime: int = 0, filename: str | None = None) -> bytes:

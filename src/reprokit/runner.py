@@ -56,7 +56,7 @@ META_FILENAME = "repro.meta"
 @dataclass(frozen=True)
 class BuildResult:
     """One build's outcome: exit code, artifacts and their checksums, run time,
-    log, and the environment it ran in."""
+    log and the file it was written to, and the environment it ran in."""
 
     profile_name: str
     exit_code: int
@@ -64,6 +64,7 @@ class BuildResult:
     checksums: tuple[ChecksumEntry, ...]
     duration_ms: int
     log: bytes
+    log_path: Path
     env: dict[str, str]
 
 
@@ -140,9 +141,14 @@ def _exit_fd(pid: int) -> int | None:
         return None
 
 
-def _create_log(path: str) -> int:
+def _log_path(workdir: Path) -> Path:
+    """Where the build staged in ``workdir`` writes its log: ``<workdir>.log``."""
+    return workdir.with_name(workdir.name + ".log")
+
+
+def _create_log(path: Path) -> int:
     """Create an empty log at ``path``, removing, not following, what a build left there."""
-    Path(path).unlink(missing_ok=True)
+    path.unlink(missing_ok=True)
     return os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o666)
 
 
@@ -189,6 +195,7 @@ def _result(build: _Started, req: BuildRequest) -> BuildResult:
         checksums=checksums,
         duration_ms=build.duration_ms,
         log=log,
+        log_path=_log_path(pb.workdir),
         env=dict(pb.env),
     )
 
@@ -215,7 +222,7 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
     try:
         with selectors.DefaultSelector() as sel:
             for pb, entry in zip(pbs, entries):
-                log_path = str(pb.workdir) + ".log"
+                log_path = _log_path(pb.workdir)
                 log_fd = _create_log(log_path)
                 fds.append(log_fd)
                 # The build writes through an open file of its own, so a lock
@@ -303,10 +310,11 @@ def double_build(
             raise ValidationError(f"staging collision: {parked}")
         first_pb.workdir.rename(parked)
         # From the result, not the log path, which the build may have removed.
-        with open(_create_log(str(parked) + ".log"), "wb") as parked_log:
-            parked_log.write(first.log)
-        if first.artifacts is not None:
-            first = dataclasses.replace(first, artifacts=parked / req.output_subdir)
+        parked_log = _log_path(parked)
+        with open(_create_log(parked_log), "wb") as log_file:
+            log_file.write(first.log)
+        artifacts = parked / req.output_subdir if first.artifacts is not None else None
+        first = dataclasses.replace(first, artifacts=artifacts, log_path=parked_log)
         [second] = run_builds([apply_profile(second_profile, req, staging_root)], req)
 
     by_name_first = {e.filename: e.sha256 for e in first.checksums}

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from reprokit import cli
 from reprokit.fixtures import FixtureKind, generate_fixture
 from reprokit.formats import Member, parse_tar, write_tar
 from reprokit.runner import META_FILENAME
+from reprokit.varenv import default_profiles
 
 SHEBANG = "#!" + sys.executable + "\n"
 
@@ -41,6 +43,29 @@ def test_check_reproducible_exact_output(tmp_path, capsys):
     code = cli.main(["check", str(tmp_path / "src"), "--staging", str(tmp_path / "stage")])
     assert code == 0
     assert capsys.readouterr().out == "reproducible: 1 artifact(s) bit-for-bit identical\n"
+
+
+@pytest.mark.parametrize("staging", [True, False], ids=["staging", "no-staging"])
+def test_check_names_each_build_its_duration_and_kept_log(tmp_path, capsys, staging):
+    """One stderr line per build; a log is named only where it outlives the
+    command, under --staging. Stdout is the same either way."""
+    generate_fixture(FixtureKind.CONTROL, tmp_path / "src")
+    stage = tmp_path / "stage"
+    argv = ["check", str(tmp_path / "src")] + (["--staging", str(stage)] if staging else [])
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "reproducible: 1 artifact(s) bit-for-bit identical\n"
+    lines = captured.err.splitlines()
+    assert len(lines) == 2, lines
+    for line, profile in zip(lines, default_profiles()):
+        found = re.fullmatch(
+            rf"build under profile '{profile.name}': duration_ms=(\d+)(?:, log: (.+))?", line)
+        assert found, line
+        if staging:
+            log = stage.resolve() / (profile.build_path_component + ".log")
+            assert (found[2], log.is_file()) == (str(log), True)
+        else:
+            assert found[2] is None
 
 
 def test_check_unreproducible_with_json_report(tmp_path, capsys):
@@ -718,9 +743,10 @@ def test_version_names_reprokit_and_its_zlib(capsys):
 
 
 #: Modules that only some commands need: the Ed25519 backend, the build
-#: runner, and the queue that hands each chunk of an artifact to the SHA-1
-#: helper thread.
-WATCHED = ("cryptography", "reprokit.runner", "subprocess", "queue")
+#: runner, the queue that hands each chunk of an artifact to the SHA-1
+#: helper thread, and the executor that deflates a body of more than one
+#: block, which no probe input has.
+WATCHED = ("cryptography", "reprokit.runner", "subprocess", "queue", "concurrent.futures")
 
 _PROBE = (
     "import json, sys\n"

@@ -6,8 +6,11 @@ import datetime
 import gzip as gzip_mod
 import io
 import random
+import shutil
 import struct
+import subprocess
 import tarfile
+import threading
 import zipfile
 import zlib
 from dataclasses import replace
@@ -451,6 +454,127 @@ def test_write_zip_bodies_are_level_6_raw_deflate():
         else:
             assert info.compress_type == zipfile.ZIP_DEFLATED
             assert body == raw_deflate_level6(member.content)
+
+
+#: The canonical deflate block and the input that primes each block after
+#: the first, fixed here as part of the format.
+BLOCK = 128 * 1024
+WINDOW = 32 * 1024
+
+
+def blocked_deflate(data: bytes) -> bytes:
+    """Serial reference of the canonical body: a body of one block is plain
+    level-6 raw deflate; a longer one is deflated ``BLOCK`` bytes at a time,
+    each block by a compressor primed with the ``WINDOW`` bytes before it,
+    and every block but the last ends with a sync flush."""
+    if len(data) <= BLOCK:
+        return raw_deflate_level6(data)
+    out = []
+    for start in range(0, len(data), BLOCK):
+        if start == 0:
+            comp = zlib.compressobj(6, wbits=-15)
+        else:
+            comp = zlib.compressobj(6, wbits=-15, zdict=data[max(0, start - WINDOW):start])
+        last = start + BLOCK >= len(data)
+        out.append(comp.compress(data[start:start + BLOCK])
+                   + comp.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
+    return b"".join(out)
+
+
+def sized_payload(kind: str, size: int) -> bytes:
+    if kind == "random":
+        return random.Random(size).randbytes(size)
+    text = source_like(size)
+    return (text * (size // len(text) + 1))[:size]
+
+
+def only_zip_body(data: bytes) -> bytes:
+    """The compressed bytes of a one-member zip that has no extra field."""
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        [info] = zf.infolist()
+    start = 30 + len(info.filename.encode())
+    return data[start:start + info.compress_size]
+
+
+BLOCK_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + WINDOW, 5 * BLOCK + 7]
+
+
+def test_deflate_block_is_the_reference_block():
+    assert formats.DEFLATE_BLOCK == BLOCK
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+@pytest.mark.parametrize("kind", ["text", "random"])
+def test_bodies_are_the_block_reference_and_read_back(kind, size):
+    payload = sized_payload(kind, size)
+    expected = blocked_deflate(payload)
+    assert formats._deflate(payload) == expected
+    assert zlib.decompress(expected, wbits=-15) == payload
+    gz = write_gzip(payload, filename="n")
+    assert gz[12:-8] == expected
+    assert gzip_mod.decompress(gz) == payload
+    zipped = write_zip([Member(name="f", content=payload, mtime=0)])
+    assert only_zip_body(zipped) == expected
+    with zipfile.ZipFile(io.BytesIO(zipped)) as zf:
+        assert zf.testzip() is None
+        assert zf.read("f") == payload
+
+
+@pytest.mark.parametrize("kind", ["text", "random"])
+def test_deflate_bytes_and_workers_follow_the_usable_cpus(kind, monkeypatch):
+    """One usable CPU gives one worker, many give one per block at most,
+    and without ``sched_getaffinity`` the CPU count counts; the bytes are
+    the same every time."""
+    import concurrent.futures
+
+    payload = sized_payload(kind, 5 * BLOCK + 7)
+    workers = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    bodies = []
+    for cpus in ({0}, set(range(8))):
+        monkeypatch.setattr(formats.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        bodies.append(formats._deflate(payload))
+    monkeypatch.delattr(formats.os, "sched_getaffinity")
+    monkeypatch.setattr(formats.os, "cpu_count", lambda: 3)
+    bodies.append(formats._deflate(payload))
+    assert workers == [1, 6, 3]
+    assert bodies == [blocked_deflate(payload)] * 3
+
+
+@pytest.mark.skipif(shutil.which("gzip") is None, reason="no gzip on PATH")
+@pytest.mark.parametrize("kind", ["text", "random"])
+def test_gnu_gzip_accepts_multi_block_output(kind, tmp_path):
+    path = tmp_path / "body.gz"
+    path.write_bytes(write_gzip(sized_payload(kind, 5 * BLOCK + 7)))
+    proc = subprocess.run(["gzip", "-t", str(path)], capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_a_failing_block_propagates_and_leaves_no_thread(monkeypatch):
+    real = zlib.compressobj
+    failure = RuntimeError("second block")
+    calls = []
+    lock = threading.Lock()
+
+    def second_call_fails(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            if len(calls) == 2:
+                raise failure
+        return real(*args, **kwargs)
+
+    before = threading.active_count()
+    monkeypatch.setattr(zlib, "compressobj", second_call_fails)
+    with pytest.raises(RuntimeError) as raised:
+        formats._deflate(sized_payload("text", 3 * BLOCK))
+    assert raised.value is failure
+    assert threading.active_count() == before
 
 
 def central_entry_offsets(data: bytes) -> list[int]:

@@ -268,6 +268,42 @@ def test_normalize_bytes_idempotent():
     assert normalize_bytes(once, POLICY) == once
 
 
+def test_multi_block_members_converge_are_idempotent_and_read_back():
+    """A 300 KiB member deflates in several blocks; sides that differ only
+    in member order, owners and mtimes still normalize to the same bytes."""
+    rng = random.Random(300)
+    big = rng.randbytes(100 * 1024) + b"".join(
+        b"line %d of a long generated listing\n" % i for i in range(6000))
+    big = big[:300 * 1024]
+    files = [("big.bin", big), ("a.txt", b"ay\n"), ("z.txt", b"zed\n")]
+    tars = [
+        stdlib_tar([(n, d, 1_700_000_000, 1000, 100, "alice", "users", 0o644) for n, d in files]),
+        stdlib_tar([(n, d, 1_650_000_123, 2000, 200, "bob", "staff", 0o644)
+                    for n, d in reversed(files)]),
+    ]
+    zips = [
+        stdlib_zip([(n, d, (2024, 5, 6, 7, 8, 10), 0o644, zipfile.ZIP_DEFLATED) for n, d in files]),
+        stdlib_zip([(n, d, (2022, 1, 2, 3, 4, 6), 0o644, zipfile.ZIP_DEFLATED)
+                    for n, d in reversed(files)]),
+    ]
+    pairs = {
+        "tar.gz": [gzip_mod.compress(t, mtime=m) for t, m in zip(tars, (1_700_000_000, 1_650_000_123))],
+        "zip": zips,
+    }
+    for kind, (one, two) in pairs.items():
+        assert one != two
+        out = normalize_bytes(one, POLICY)
+        assert normalize_bytes(two, POLICY) == out, kind
+        assert normalize_bytes(out, POLICY) == out, kind
+        if kind == "zip":
+            with zipfile.ZipFile(io.BytesIO(out)) as zf:
+                leaves = {name: zf.read(name) for name in zf.namelist()}
+        else:
+            with tarfile.open(fileobj=io.BytesIO(gzip_mod.decompress(out))) as tf:
+                leaves = {m.name: tf.extractfile(m).read() for m in tf.getmembers()}
+        assert leaves == dict(files), kind
+
+
 def test_nested_lookalike_member_left_alone():
     fake = b"\x1f\x8b\x08" + b"not really gzip"
     raw = write_tar([Member(name="fake.gz", content=fake, mtime=9)])

@@ -454,6 +454,7 @@ def test_double_build_same_path_keeps_the_first_log_the_build_removed(tmp_path):
     assert verdict.first.log == verdict.second.log == b"built\n"
     parked_log = staging / (profile.build_path_component + ".first.log")
     assert parked_log.read_bytes() == b"built\n"
+    assert verdict.first.log_path == parked_log.resolve()
 
 
 def test_double_build_same_path_follows_no_symlink_a_build_planted(tmp_path):
