@@ -14,9 +14,10 @@ from __future__ import annotations
 import enum
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .compare import ByteRanges, DiffNode, MetaDiff, Status, TextDiff
+from .compare import ByteRange, ByteRanges, DiffNode, MetaDiff, Status, TextDiff
 from .formats import META_FIELDS
 from .varenv import BASE_EPOCH, CLOCK_SKEW_SECONDS
 
@@ -114,6 +115,15 @@ def _side_difference(first: set[str], second: set[str]) -> tuple[list[str], list
     return sorted(first - second), sorted(second - first)
 
 
+def _matching_pair(
+    first: set[str], second: set[str], key: Callable[[str], object]
+) -> tuple[str, str] | None:
+    """The first pair of one-sided tokens, one from each side, whose ``key``
+    agrees, in sorted order of the first side and then of the second."""
+    only_first, only_second = _side_difference(first, second)
+    return next(((a, b) for a in only_first for b in only_second if key(a) == key(b)), None)
+
+
 def shannon_entropy(token: str) -> float:
     """Bits per character over the token's own character distribution."""
     if not token:
@@ -136,90 +146,6 @@ def _date_strings(text: str, epochs: tuple[int, int]) -> set[str]:
     return found
 
 
-def _is_datelike(token: str, epochs: tuple[int, int]) -> bool:
-    return bool(_date_strings(token, epochs))
-
-
-# -- per-rule matchers; each returns a finding or None ----------------------
-
-
-def _rule_archive_metadata(node: DiffNode) -> RootCauseFinding | None:
-    fields = {name for name, _, _ in node.detail.entries}
-    if not fields or not fields.issubset(META_FIELDS):
-        return None
-    first = " ".join(f"{n}={a}" for n, a, _ in node.detail.entries)
-    second = " ".join(f"{n}={b}" for n, _, b in node.detail.entries)
-    content_same = all(c.status is Status.SAME for c in node.children)
-    return RootCauseFinding(
-        cause=RootCause.ARCHIVE_METADATA,
-        node_path=node.path,
-        confidence=Confidence.HIGH if content_same else Confidence.MEDIUM,
-        evidence=(first, second),
-    )
-
-
-def _rule_timestamp(
-    node: DiffNode, minus: str, plus: str, epochs: tuple[int, int]
-) -> RootCauseFinding | None:
-    only_minus, only_plus = _side_difference(
-        _date_strings(minus, epochs), _date_strings(plus, epochs)
-    )
-    if not only_minus and not only_plus:
-        return None
-    return RootCauseFinding(
-        cause=RootCause.TIMESTAMP,
-        node_path=node.path,
-        confidence=Confidence.HIGH,
-        evidence=(
-            only_minus[0] if only_minus else "",
-            only_plus[0] if only_plus else "",
-        ),
-    )
-
-
-def _rule_build_path(node: DiffNode, minus: str, plus: str) -> RootCauseFinding | None:
-    only_minus, only_plus = _side_difference(
-        {m.group(0) for m in _ABS_PATH.finditer(minus)},
-        {m.group(0) for m in _ABS_PATH.finditer(plus)},
-    )
-    for path_a in only_minus:
-        for path_b in only_plus:
-            if path_a.rsplit("/", 1)[-1] == path_b.rsplit("/", 1)[-1]:
-                return RootCauseFinding(
-                    cause=RootCause.BUILD_PATH,
-                    node_path=node.path,
-                    confidence=Confidence.HIGH,
-                    evidence=(path_a, path_b),
-                )
-    return None
-
-
-def _rule_fs_ordering(
-    node: DiffNode, minus_lines: list[str], plus_lines: list[str]
-) -> RootCauseFinding | None:
-    # An ordering-only summary holds one moved line per side.
-    if node.detail.ordering_only:
-        return RootCauseFinding(
-            cause=RootCause.FS_ORDERING,
-            node_path=node.path,
-            confidence=Confidence.HIGH,
-            evidence=(minus_lines[0], plus_lines[0]),
-        )
-    return None
-
-
-def _rule_container_order(node: DiffNode) -> RootCauseFinding | None:
-    for name, first, second in node.detail.entries:
-        if name == "order":
-            return RootCauseFinding(
-                cause=RootCause.FS_ORDERING,
-                node_path=node.path,
-                confidence=Confidence.HIGH,
-                evidence=(first, second),
-            )
-    return None
-
-
 def _locale_tokens(text: str) -> set[str]:
     tokens = {w.group(0).lower() for w in _WORD.finditer(text)}
     found = {t for t in tokens if t in _MONTH_DAY_WORDS or t in _TZ_ABBREVS}
@@ -227,23 +153,11 @@ def _locale_tokens(text: str) -> set[str]:
     return found
 
 
-def _rule_locale_timezone(node: DiffNode, minus: str, plus: str) -> RootCauseFinding | None:
-    only_minus, only_plus = _side_difference(_locale_tokens(minus), _locale_tokens(plus))
-    if not only_minus or not only_plus:
-        return None
-    return RootCauseFinding(
-        cause=RootCause.LOCALE_OR_TIMEZONE,
-        node_path=node.path,
-        confidence=Confidence.HIGH,
-        evidence=(only_minus[0], only_plus[0]),
-    )
-
-
 def _random_candidates(text: str, epochs: tuple[int, int]) -> set[str]:
     out = set()
     for m in _RANDOM_TOKEN.finditer(text):
         token = m.group(0)
-        if _is_datelike(token, epochs):
+        if _date_strings(token, epochs):
             continue
         body = token.rstrip("=")
         is_digits = body.isdigit()
@@ -260,80 +174,115 @@ def _random_candidates(text: str, epochs: tuple[int, int]) -> set[str]:
     return out
 
 
-def _rule_randomness(
-    node: DiffNode, minus: str, plus: str, epochs: tuple[int, int]
-) -> RootCauseFinding | None:
-    only_minus, only_plus = _side_difference(
-        _random_candidates(minus, epochs), _random_candidates(plus, epochs)
-    )
-    for token_a in only_minus:
-        for token_b in only_plus:
-            if len(token_a) == len(token_b):
-                return RootCauseFinding(
-                    cause=RootCause.RANDOMNESS,
-                    node_path=node.path,
-                    confidence=Confidence.HIGH,
-                    evidence=(token_a, token_b),
-                )
+def _hex_pair(r: ByteRange) -> tuple[str, str]:
+    return r.first_hex or "(empty)", r.second_hex or "(empty)"
+
+
+# -- per-rule matchers ------------------------------------------------------
+# Each rule gets only the evidence it reads and returns a match: the cause,
+# its confidence and the two sides' evidence, or None. ``_classify_node``
+# turns the first match into the node's finding.
+
+_Match = tuple[RootCause, Confidence, tuple[str, str]]
+
+
+def _rule_metadata(
+    entries: tuple[tuple[str, str, str], ...], children: tuple[DiffNode, ...]
+) -> _Match | None:
+    """Archive metadata when every row is a member metadata field, else
+    container ordering when there is an ``order`` row."""
+    fields = {name for name, _, _ in entries}
+    if fields and fields.issubset(META_FIELDS):
+        content_same = all(c.status is Status.SAME for c in children)
+        confidence = Confidence.HIGH if content_same else Confidence.MEDIUM
+        first = " ".join(f"{n}={a}" for n, a, _ in entries)
+        second = " ".join(f"{n}={b}" for n, _, b in entries)
+        return RootCause.ARCHIVE_METADATA, confidence, (first, second)
+    for name, first, second in entries:
+        if name == "order":
+            return RootCause.FS_ORDERING, Confidence.HIGH, (first, second)
     return None
 
 
-def _rule_uninitialized_memory(node: DiffNode) -> RootCauseFinding | None:
-    for r in node.detail.ranges:
+def _rule_timestamp(minus: str, plus: str, epochs: tuple[int, int]) -> _Match | None:
+    only_minus, only_plus = _side_difference(
+        _date_strings(minus, epochs), _date_strings(plus, epochs)
+    )
+    if not only_minus and not only_plus:
+        return None
+    return RootCause.TIMESTAMP, Confidence.HIGH, (
+        only_minus[0] if only_minus else "",
+        only_plus[0] if only_plus else "",
+    )
+
+
+def _rule_build_path(minus: str, plus: str) -> _Match | None:
+    pair = _matching_pair(
+        {m.group(0) for m in _ABS_PATH.finditer(minus)},
+        {m.group(0) for m in _ABS_PATH.finditer(plus)},
+        key=lambda path: path.rsplit("/", 1)[-1],
+    )
+    return None if pair is None else (RootCause.BUILD_PATH, Confidence.HIGH, pair)
+
+
+def _rule_locale_timezone(minus: str, plus: str) -> _Match | None:
+    only_minus, only_plus = _side_difference(_locale_tokens(minus), _locale_tokens(plus))
+    if not only_minus or not only_plus:
+        return None
+    return RootCause.LOCALE_OR_TIMEZONE, Confidence.HIGH, (only_minus[0], only_plus[0])
+
+
+def _rule_randomness(minus: str, plus: str, epochs: tuple[int, int]) -> _Match | None:
+    pair = _matching_pair(
+        _random_candidates(minus, epochs), _random_candidates(plus, epochs), key=len
+    )
+    return None if pair is None else (RootCause.RANDOMNESS, Confidence.HIGH, pair)
+
+
+def _rule_uninitialized_memory(ranges: tuple[ByteRange, ...]) -> _Match | None:
+    for r in ranges:
         if r.first_zero != r.second_zero:
-            return RootCauseFinding(
-                cause=RootCause.UNINITIALIZED_MEMORY,
-                node_path=node.path,
-                confidence=Confidence.MEDIUM,
-                evidence=(r.first_hex or "(empty)", r.second_hex or "(empty)"),
-            )
+            return RootCause.UNINITIALIZED_MEMORY, Confidence.MEDIUM, _hex_pair(r)
     return None
 
 
 def _classify_node(node: DiffNode, epochs: tuple[int, int]) -> RootCauseFinding:
     """The first rule that fires, in the order archive metadata, timestamp,
     build path, fs ordering, locale or timezone, randomness, uninitialized
-    memory; each rule reads one kind of evidence.
+    memory; each rule reads one kind of evidence. When none fires the node is
+    Unknown, with the evidence its detail shows first.
     """
     detail = node.detail
-    finding: RootCauseFinding | None = None
+    match: _Match | None = None
     evidence = ("", "")
     if isinstance(detail, MetaDiff):
-        finding = _rule_archive_metadata(node) or _rule_container_order(node)
+        match = _rule_metadata(detail.entries, node.children)
     elif isinstance(detail, TextDiff):
         minus_lines = [line[1:] for line in detail.hunks if line.startswith("-")]
         plus_lines = [line[1:] for line in detail.hunks if line.startswith("+")]
         # difflib's -/+ lines are the two texts minus their matched lines, so
         # they are a permutation of each other only when the whole texts'
         # lines are: exactly the case the comparator flags ordering_only, so
-        # the flag is the whole test. The two sides then hold the same lines,
-        # so the timestamp and build-path rules, which fire on a set
-        # difference of per-line matches, could not fire before this one.
-        finding = _rule_fs_ordering(node, minus_lines, plus_lines)
-        if finding is None:
+        # the flag is the whole fs-ordering test. The two sides then hold the
+        # same lines, so the timestamp and build-path rules, which fire on a
+        # set difference of per-line matches, could not fire before this one.
+        # An ordering-only summary holds one moved line per side.
+        if detail.ordering_only:
+            match = RootCause.FS_ORDERING, Confidence.HIGH, (minus_lines[0], plus_lines[0])
+        else:
             minus, plus = "\n".join(minus_lines), "\n".join(plus_lines)
-            finding = (
-                _rule_timestamp(node, minus, plus, epochs)
-                or _rule_build_path(node, minus, plus)
-                or _rule_locale_timezone(node, minus, plus)
-                or _rule_randomness(node, minus, plus, epochs)
+            match = (
+                _rule_timestamp(minus, plus, epochs)
+                or _rule_build_path(minus, plus)
+                or _rule_locale_timezone(minus, plus)
+                or _rule_randomness(minus, plus, epochs)
             )
             evidence = (minus[:120], plus[:120])
-    elif isinstance(detail, ByteRanges):
-        finding = _rule_uninitialized_memory(node)
-        if detail.ranges:
-            evidence = (
-                detail.ranges[0].first_hex or "(empty)",
-                detail.ranges[0].second_hex or "(empty)",
-            )
-    if finding is not None:
-        return finding
-    return RootCauseFinding(
-        cause=RootCause.UNKNOWN,
-        node_path=node.path,
-        confidence=Confidence.LOW,
-        evidence=evidence,
-    )
+    elif isinstance(detail, ByteRanges) and detail.ranges:
+        match = _rule_uninitialized_memory(detail.ranges)
+        evidence = _hex_pair(detail.ranges[0])
+    cause, confidence, evidence = match or (RootCause.UNKNOWN, Confidence.LOW, evidence)
+    return RootCauseFinding(cause, node.path, confidence, evidence)
 
 
 def classify(root: DiffNode, epochs: tuple[int, int] | None = None) -> list[RootCauseFinding]:

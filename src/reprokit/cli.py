@@ -188,7 +188,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     profiles = _load_profile_pair(args)
     with _staging(args.staging) as staging:
-        v = double_build(req, profiles, staging)
+        v = double_build(req, profiles, staging_root=staging)
         # A failed build has no checksums, so nothing is compared for it.
         trees = _compare_mismatches(v)
 

@@ -187,7 +187,12 @@ class AttestationStore:
                 raise StoreError(
                     f"corrupt store entry {path.name}: builder id mismatch"
                 )
-            if not verify_signature(sa, self.registered_key(builder_id)):
+            key = self.registered_key(builder_id)
+            if sa.public_key_fingerprint != key_fingerprint(key):
+                raise StoreError(
+                    f"corrupt store entry {path.name}: fingerprint does not match the pinned key"
+                )
+            if not verify_signature(sa, key):
                 raise StoreError(
                     f"corrupt store entry {path.name}: signature does not verify"
                 )

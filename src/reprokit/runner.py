@@ -19,7 +19,6 @@ import os
 import selectors
 import signal
 import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -285,18 +284,16 @@ def run_build(pb: PreparedBuild, req: BuildRequest) -> BuildResult:
 def double_build(
     req: BuildRequest,
     profiles: tuple[VariationProfile, VariationProfile] | None = None,
-    staging_root: Path | str | None = None,
+    *,
+    staging_root: Path | str,
 ) -> ReproVerdict:
     """Build under both profiles and compare artifacts filename-wise.
 
-    Without ``staging_root`` the builds are staged in a fresh ``mkdtemp``
-    directory that is left in place, because the verdict's artifact paths
-    point into it; callers that want it gone pass a root they remove.
+    The builds are staged under ``staging_root``, which the caller owns: the
+    verdict's artifact and log paths point into it, and it is left in place.
     """
     validate_request(req)
     first_profile, second_profile = profiles if profiles is not None else default_profiles()
-    if staging_root is None:
-        staging_root = tempfile.mkdtemp(prefix="reprokit-")
     first_pb = apply_profile(first_profile, req, staging_root)
     if second_profile.build_path_component != first_profile.build_path_component:
         second_pb = apply_profile(second_profile, req, staging_root)

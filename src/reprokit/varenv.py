@@ -143,6 +143,12 @@ class VariationProfile:
         component = self.build_path_component
         if not component or "/" in component or "\\" in component or component in (".", ".."):
             raise ValidationError("build_path_component must be a single path segment")
+        if not 0 <= self.umask <= 0o777:
+            raise ValidationError(f"umask must be within 000..777 octal, got {self.umask:o}")
+        if self.source_date_epoch is not None and self.source_date_epoch < 0:
+            raise ValidationError(
+                f"source_date_epoch must not be negative, got {self.source_date_epoch}"
+            )
 
     @property
     def env(self) -> dict[str, str]:

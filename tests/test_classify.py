@@ -25,7 +25,15 @@ from reprokit.classify import (
     primary_finding,
     shannon_entropy,
 )
-from reprokit.compare import DiffNode, Format, Status, TextDiff, compare_bytes
+from reprokit.compare import (
+    ByteRanges,
+    DiffNode,
+    Format,
+    MetaDiff,
+    Status,
+    TextDiff,
+    compare_bytes,
+)
 from reprokit.formats import Member, write_tar
 from reprokit.varenv import BASE_EPOCH, CLOCK_SKEW_SECONDS
 
@@ -227,6 +235,43 @@ def test_unknown_fallback_keeps_evidence():
     assert f.confidence is Confidence.LOW
     assert "completely different" in f.evidence[0]
     assert "other thing entirely" in f.evidence[1]
+
+
+def test_unknown_text_evidence_is_both_sides_cut_to_120_characters():
+    first = "\n".join(["alpha beta gamma"] * 10)
+    second = "\n".join(["delta epsilon zeta"] * 10)
+    f = one(first.encode() + b"\n", second.encode() + b"\n")
+    assert f.cause is RootCause.UNKNOWN
+    assert f.evidence == (first[:120], second[:120])
+    assert len(f.evidence[0]) == len(f.evidence[1]) == 120
+
+
+def test_unknown_byte_ranges_evidence_is_the_first_range_hex():
+    # two ranges, a 100-byte equal run apart, neither zero on one side only
+    a = b"\x7fHDR" + b"\x11" * 16 + b"\x01" * 100 + b"\x33"
+    b = b"\x7fHDR" + b"\x99" * 16 + b"\x01" * 100 + b"\x44"
+    assert len(compare_bytes(a, b).detail.ranges) == 2
+    f = one(a, b)
+    assert f.cause is RootCause.UNKNOWN
+    assert f.confidence is Confidence.LOW
+    assert f.evidence == ("11" * 16, "99" * 16)
+    # a side with no bytes in the range reads "(empty)"
+    f = one(b"\x00\x01\x02\x03" + b"\x11" * 4, b"\x00\x01\x02\x03")
+    assert f.cause is RootCause.UNKNOWN
+    assert f.evidence == ("11111111", "(empty)")
+
+
+def test_unknown_byte_ranges_evidence_without_ranges_is_empty():
+    node = DiffNode("blob", Format.BINARY, Status.DIFFERS, ByteRanges(()))
+    assert classify(node) == [
+        RootCauseFinding(RootCause.UNKNOWN, "blob", Confidence.LOW, ("", ""))]
+
+
+def test_unknown_meta_evidence_outside_the_metadata_fields_is_empty():
+    node = DiffNode("t!f", Format.TEXT, Status.DIFFERS,
+                    MetaDiff((("size", "1", "2"), ("mtime", "100", "200"))))
+    assert classify(node) == [
+        RootCauseFinding(RootCause.UNKNOWN, "t!f", Confidence.LOW, ("", ""))]
 
 
 def test_priority_timestamp_beats_build_path():

@@ -191,6 +191,23 @@ def test_check_classifies_against_the_loaded_profiles_clocks(tmp_path):
     assert (finding["cause"], finding["confidence"]) == ("timestamp", "high")
 
 
+@pytest.mark.parametrize("old,new", [
+    ("umask = 022", "umask = -1"),
+    ("umask = 022", "umask = 17777"),
+    ("username = u", "username = u\nsource_date_epoch = -5"),
+], ids=["negative-umask", "wide-umask", "negative-source-date-epoch"])
+def test_check_refuses_a_profile_knob_out_of_range(tmp_path, capsys, old, new):
+    src = make_tree(tmp_path, "raise SystemExit('no build runs')\n")
+    profile = write_profile(tmp_path / "a.profile", "one", 0)
+    profile.write_text(profile.read_text().replace(old, new))
+    stage = tmp_path / "stage"
+    code = cli.main(["check", str(src), "--staging", str(stage), "--profile-a", str(profile)])
+    assert code == 3
+    knob = new.rsplit("\n", 1)[-1].split(" = ")[0]
+    assert knob in capsys.readouterr().err
+    assert not stage.exists()
+
+
 def test_check_unknown_flag_is_usage_error(tmp_path, capsys):
     code = cli.main(["check", str(tmp_path), "--frobnicate"])
     assert code == 3

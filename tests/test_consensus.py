@@ -227,6 +227,27 @@ def test_load_detects_corruption(store):
     assert "corrupt store entry" in str(err.value)
 
 
+def test_load_refuses_an_entry_whose_fingerprint_names_another_key(store):
+    private_key, public_key = generate_signing_key()
+    _, other_public = generate_signing_key()
+    store.register_builder("rebuilder-01", public_key)
+    store.submit(signed_attestation("rebuilder-01", private_key, {"pkg.deb": H_GOOD}))
+    path = store.root / "att" / "demo_1.0_all" / "rebuilder-01.buildinfo.signed"
+    data = path.read_bytes()
+    pinned, other = key_fingerprint(public_key), key_fingerprint(other_public)
+    assert data.endswith(pinned.encode() + b"\n")
+    rewritten = data[: -len(pinned) - 1] + other.encode() + b"\n"
+    path.write_bytes(rewritten)
+    # the signature still verifies under the pinned key; only the line lies
+    with pytest.raises(StoreError) as err:
+        store.load("demo", "1.0", "all")
+    assert "corrupt store entry rebuilder-01.buildinfo.signed" in str(err.value)
+    assert "fingerprint" in str(err.value)
+    with pytest.raises(StoreError) as err:
+        store.submit(parse_signed(rewritten))
+    assert "fingerprint" in str(err.value)
+
+
 def test_load_detects_renamed_entry(store):
     private_key, public_key = generate_signing_key()
     for builder_id in ("rebuilder-01", "rebuilder-02"):

@@ -194,6 +194,9 @@ def test_load_profile_source_date_epoch_optional(tmp_path):
         ("fs_ordering = forward", "fs_ordering = sideways"),
         ("hostname = h", "hostname = h\nextra_knob = 1"),
         ("clock_skew_seconds = 0", "clock_skew_seconds = soon"),
+        ("umask = 022", "umask = -1"),          # out of range
+        ("umask = 022", "umask = 17777"),
+        ("username = u", "username = u\nsource_date_epoch = -5"),
     ],
 )
 def test_load_profile_rejects_bad_configs(tmp_path, mutation):
@@ -207,6 +210,22 @@ def test_load_profile_rejects_bad_configs(tmp_path, mutation):
     config.write_text(base.replace(old, new))
     with pytest.raises((ParseError, ValidationError)):
         load_profile(config)
+
+
+@pytest.mark.parametrize("old,new,name,value", [
+    ("umask = 022", "umask = 000", "UMASK", "000"),
+    ("umask = 022", "umask = 777", "UMASK", "777"),
+    ("username = u", "username = u\nsource_date_epoch = 0", "SOURCE_DATE_EPOCH", "0"),
+])
+def test_load_profile_accepts_the_range_ends(tmp_path, old, new, name, value):
+    base = (
+        "name = q\nclock_skew_seconds = 0\nbuild_path_component = b\n"
+        "fs_ordering = forward\numask = 022\nlocale = C\ntimezone = UTC\n"
+        "hostname = h\nusername = u\n"
+    )
+    config = tmp_path / "p.conf"
+    config.write_text(base.replace(old, new))
+    assert load_profile(config).env[name] == value
 
 
 def test_replaced_knobs_reach_the_environment():
