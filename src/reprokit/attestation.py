@@ -22,7 +22,7 @@ import os
 import re
 import stat
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ReproError, StructuralError, ValidationError
@@ -159,15 +159,16 @@ def _check_filename(filename: str) -> None:
 
 
 def validate_attestation(att: Attestation) -> None:
-    """Check every type invariant; raise ValidationError on the first breach."""
+    """Check every type invariant; raise ValidationError on the first breach.
+
+    The checks that ``parse_buildinfo``'s line grammar also makes come first:
+    the four scalars, then each checksum entry's filename, size and digests.
+    ``_check_relations`` makes the rest, for both.
+    """
     _check_scalar("Source", att.source)
     _check_scalar("Version", att.version)
-    if not _is_token(att.version):
-        raise ValidationError("Version must not contain whitespace")
     _check_scalar("Build-Architecture", att.architecture)
     _check_scalar("Builder-Id", att.builder_id)
-
-    prev: bytes | None = None
     for entry in att.checksums:
         _check_filename(entry.filename)
         if entry.size < 0:
@@ -176,57 +177,43 @@ def validate_attestation(att: Attestation) -> None:
             raise ValidationError(f"bad sha1 for {entry.filename}")
         if not SHA256_HEX.fullmatch(entry.sha256):
             raise ValidationError(f"bad sha256 for {entry.filename}")
-        key = entry.filename.encode()
-        if prev is not None and key <= prev:
-            raise ValidationError("checksums must be strictly sorted by filename")
-        prev = key
-
-    _check_lists(att)
+    _check_relations(att)
 
 
-def _check_lists(att: Attestation) -> None:
-    """The dependency and environment invariants, which the buildinfo line
-    grammar does not enforce on its own."""
-    prev = None
+def _check_strictly_sorted(keys, message: str) -> None:
+    """Raise ValidationError(message) unless ``keys`` rise strictly in their
+    UTF-8 bytes, which also rules out duplicates."""
+    encoded = [key.encode() for key in keys]
+    if any(a >= b for a, b in zip(encoded, encoded[1:])):
+        raise ValidationError(message)
+
+
+def _check_relations(att: Attestation) -> None:
+    """The invariants the buildinfo line grammar does not make on its own:
+    the Version token, the three sorted orders, and the dependency and
+    environment names and values. (The grammar also refuses a dependency
+    version holding a parenthesis; in a built one, only this check does.)"""
+    if not _is_token(att.version):
+        raise ValidationError("Version must not contain whitespace")
+    _check_strictly_sorted(
+        (entry.filename for entry in att.checksums), "checksums must be strictly sorted by filename"
+    )
     for dep in att.depends:
         if not _PKGNAME_RE.fullmatch(dep.name):
             raise ValidationError(f"bad dependency name {dep.name!r}")
-        if not _is_token(dep.version):
+        if not _is_token(dep.version) or "(" in dep.version or ")" in dep.version:
             raise ValidationError(f"bad dependency version for {dep.name}")
-        key = dep.name.encode()
-        if prev is not None and key <= prev:
-            raise ValidationError("depends must be strictly sorted by name")
-        prev = key
-
-    prev = None
+    _check_strictly_sorted(
+        (dep.name for dep in att.depends), "depends must be strictly sorted by name"
+    )
     for name, value in att.environment:
         if not _ENVNAME_RE.fullmatch(name):
             raise ValidationError(f"bad environment variable name {name!r}")
         if '"' in value or "\n" in value or "\\" in value:
             raise ValidationError(f"environment value for {name} contains forbidden characters")
-        key = name.encode()
-        if prev is not None and key <= prev:
-            raise ValidationError("environment keys must be strictly sorted")
-        prev = key
-
-
-def _check_parsed(att: Attestation) -> None:
-    """``validate_attestation`` for an attestation read by ``parse_buildinfo``.
-
-    The parser's line grammar already holds every scalar to be nonempty and
-    unpadded, and every checksum line to a well-formed digest, size and
-    filename, so only the checks it cannot make line by line remain, raised
-    in ``validate_attestation``'s order.
-    """
-    if not _is_token(att.version):
-        raise ValidationError("Version must not contain whitespace")
-    prev: bytes | None = None
-    for entry in att.checksums:
-        key = entry.filename.encode()
-        if prev is not None and key <= prev:
-            raise ValidationError("checksums must be strictly sorted by filename")
-        prev = key
-    _check_lists(att)
+    _check_strictly_sorted(
+        (name for name, _ in att.environment), "environment keys must be strictly sorted"
+    )
 
 
 @contextlib.contextmanager
@@ -415,22 +402,22 @@ def parse_buildinfo(data: bytes) -> Attestation:
         raise ParseError("missing trailing newline")
 
     fields = _scan_fields(text)
-    seen: dict[str, tuple[object, int]] = {}
+    seen: dict[str, object] = {}
     for name, value, line_no in fields:
         if name not in _FIELDS:
             raise ParseError(f"unknown field: {name}", line_no)
         if name in seen:
             raise ParseError(f"duplicate field: {name}", line_no)
-        seen[name] = (value, line_no)
+        seen[name] = value
     for name in _FIELDS:
         if name not in seen:
             raise ParseError(f"missing field: {name}")
     if [name for name, _, _ in fields] != list(_FIELDS):
         raise ParseError("fields out of canonical order")
 
-    sha1_items = _parse_checksum_items(seen["Checksums-Sha1"][0], _SHA1_RE, 40)
+    sha1_items = _parse_checksum_items(seen["Checksums-Sha1"], _SHA1_RE, 40)
     sha256_items = _parse_checksum_items(
-        seen["Checksums-Sha256"][0], SHA256_HEX, 64, frozenset(f for _, _, f in sha1_items)
+        seen["Checksums-Sha256"], SHA256_HEX, 64, frozenset(f for _, _, f in sha1_items)
     )
     if [(f, s) for _, s, f in sha1_items] != [(f, s) for _, s, f in sha256_items]:
         raise ParseError("Checksums-Sha1 and Checksums-Sha256 disagree on files or sizes")
@@ -440,30 +427,30 @@ def parse_buildinfo(data: bytes) -> Attestation:
     )
 
     depends = []
-    for line, line_no in seen["Installed-Build-Depends"][0]:
+    for line, line_no in seen["Installed-Build-Depends"]:
         m = _DEPENDS_LINE_RE.fullmatch(line)
         if not m:
             raise ParseError("dependency line must be ' name (= version)'", line_no)
         depends.append(DependencyPin(name=m.group(1), version=m.group(2)))
 
     environment = []
-    for line, line_no in seen["Environment"][0]:
+    for line, line_no in seen["Environment"]:
         m = _ENV_LINE_RE.fullmatch(line)
         if not m:
             raise ParseError("environment line must be ' NAME=\"value\"'", line_no)
         environment.append((m.group(1), m.group(2)))
 
     att = Attestation(
-        source=seen["Source"][0],
-        version=seen["Version"][0],
-        architecture=seen["Build-Architecture"][0],
+        source=seen["Source"],
+        version=seen["Version"],
+        architecture=seen["Build-Architecture"],
         checksums=checksums,
         depends=tuple(depends),
         environment=tuple(environment),
-        builder_id=seen["Builder-Id"][0],
+        builder_id=seen["Builder-Id"],
     )
     try:
-        _check_parsed(att)
+        _check_relations(att)
     except ValidationError as err:
         raise ParseError(str(err)) from err
     return att

@@ -20,6 +20,7 @@ import contextlib
 import functools
 import html
 import json
+import os
 import sys
 import zlib
 from pathlib import Path
@@ -251,9 +252,13 @@ def cmd_attest(args: argparse.Namespace) -> int:
     meta = parse_meta(source / META_FILENAME)
     key_path = Path(args.key)
     if args.generate_key:
-        private_key, public_key = generate_signing_key()
-        key_path.write_bytes(private_key)
-        Path(str(key_path) + ".pub").write_bytes(public_key)
+        # Never replace a key that a store may have pinned; the private one is 0600.
+        pairs = ((key_path, 0o600), (Path(f"{key_path}.pub"), 0o644))
+        if existing := [path for path, _ in pairs if os.path.lexists(path)]:
+            raise ReproError(f"key file exists, not replaced: {existing[0]}")
+        for (path, mode), data in zip(pairs, generate_signing_key()):
+            with open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as f:
+                f.write(data)
     private_key = key_path.read_bytes()
 
     req = BuildRequest(

@@ -144,6 +144,16 @@ class AttestationStore:
         except FileNotFoundError:
             raise StoreError(f"builder {builder_id!r} is not registered") from None
 
+    def _unsigned_reason(self, sa: SignedAttestation, builder_id: str) -> str | None:
+        """Why ``sa`` is not signed by ``builder_id``'s pinned key, or None if
+        it is. An unregistered builder is a StoreError."""
+        key = self.registered_key(builder_id)
+        if sa.public_key_fingerprint != key_fingerprint(key):
+            return f"fingerprint does not match the pinned key of {builder_id!r}"
+        if not verify_signature(sa, key):
+            return f"bad signature from {builder_id!r}"
+        return None
+
     def submit(self, sa: SignedAttestation) -> Attestation:
         """Verify and store one attestation, replacing the builder's prior one.
 
@@ -153,13 +163,8 @@ class AttestationStore:
             att = parse_buildinfo(sa.body)
         except ParseError as err:
             raise StoreError(f"rejected: unparseable attestation body: {err}") from None
-        key = self.registered_key(att.builder_id)
-        if sa.public_key_fingerprint != key_fingerprint(key):
-            raise StoreError(
-                f"rejected: fingerprint does not match the pinned key of {att.builder_id!r}"
-            )
-        if not verify_signature(sa, key):
-            raise StoreError(f"rejected: bad signature from {att.builder_id!r}")
+        if reason := self._unsigned_reason(sa, att.builder_id):
+            raise StoreError(f"rejected: {reason}")
         group = self._group_dir(att.source, att.version, att.architecture)
         group.mkdir(parents=True, exist_ok=True)
         path = group / f"{att.builder_id}{_SIGNED_SUFFIX}"
@@ -187,15 +192,8 @@ class AttestationStore:
                 raise StoreError(
                     f"corrupt store entry {path.name}: builder id mismatch"
                 )
-            key = self.registered_key(builder_id)
-            if sa.public_key_fingerprint != key_fingerprint(key):
-                raise StoreError(
-                    f"corrupt store entry {path.name}: fingerprint does not match the pinned key"
-                )
-            if not verify_signature(sa, key):
-                raise StoreError(
-                    f"corrupt store entry {path.name}: signature does not verify"
-                )
+            if reason := self._unsigned_reason(sa, builder_id):
+                raise StoreError(f"corrupt store entry {path.name}: {reason}")
             out.append((builder_id, att))
         return out
 

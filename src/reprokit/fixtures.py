@@ -28,7 +28,6 @@ because the kernel passes everything after the interpreter path on a
 from __future__ import annotations
 
 import enum
-import os
 import stat
 import sys
 from dataclasses import dataclass

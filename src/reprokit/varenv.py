@@ -272,6 +272,8 @@ def load_profile(path: Path | str) -> VariationProfile:
             values[key] = _KNOB_PARSERS.get(key, str)(text)
         except ValueError as err:
             raise ParseError(f"bad numeric knob: {err}", line_no) from None
+        except ParseError as err:
+            raise ParseError(str(err), line_no) from None
     missing = sorted(
         name for name, field in knobs.items()
         if field.default is MISSING and name not in values

@@ -284,6 +284,19 @@ def test_validate_rejects_bad_package_names(name):
         )
 
 
+@pytest.mark.parametrize("version", ["", "1 2", "1\u30002", "1\n", "(1", "1)", "1(2)"])
+def test_validate_rejects_dependency_versions_the_parser_cannot_read(version):
+    """A version in parentheses or with whitespace would serialize to a
+    ``name (= version)`` line that ``parse_buildinfo`` refuses."""
+    with pytest.raises(ValidationError, match="^bad dependency version for gcc$"):
+        make_attestation(
+            source="s", version="1", architecture="all",
+            checksums=[entry_for("a", b"")],
+            depends=[DependencyPin(name="gcc", version=version)],
+            environment={}, builder_id="b",
+        )
+
+
 @pytest.mark.parametrize("name", ["", "1ST", "HAS-DASH", "TZ\n"])
 def test_validate_rejects_bad_env_names(name):
     with pytest.raises(ValidationError, match="bad environment variable name"):
@@ -507,6 +520,100 @@ def test_parse_checks_each_filename_once(monkeypatch):
     )
     assert parse_buildinfo(data) == att
     assert checked == [f"{i}.bin" for i in range(5)]
+
+
+# Characters that break an invariant or the line grammar when put into a
+# name, version or value: whitespace, quotes, backslashes, newlines,
+# parentheses, '=', an upper-case letter and a '-'.
+_ODD_CHARS = ' \t\u3000"\\\n()=B-'
+_VERSIONS = st.from_regex(r"[0-9][a-z0-9.:~+-]{0,5}", fullmatch=True)
+_DEP_NAMES = st.sampled_from(["gcc", "g++", "libc6", "make", "zlib"])
+_ENV_NAMES = st.sampled_from(["LANG", "SOURCE_DATE_EPOCH", "TZ", "_X"])
+_ENV_VALUES = st.sampled_from(["", "C", "UTC", "1598862579"])
+
+
+def _keyed_lists(items):
+    """Lists of ``items`` either sorted by key with each key once, or as
+    drawn, where keys may be unsorted or repeated."""
+    return st.lists(items, max_size=3).flatmap(lambda drawn: st.sampled_from([
+        sorted({item[0]: item for item in drawn}.values(), key=lambda item: item[0].encode()),
+        drawn,
+    ]))
+
+
+@st.composite
+def _unchecked_attestations(draw):
+    """Attestations with well-formed scalars and checksum entries, whose
+    lists may be unsorted or repeat a key, and in which up to two of the
+    Version, dependency and environment strings are emptied or given one
+    character from ``_ODD_CHARS``."""
+    filenames = draw(_keyed_lists(st.tuples(st.sampled_from(["a.txt", "b.txt", "c.txt"]))))
+    version = [draw(_VERSIONS)]
+    depends = [list(pair) for pair in draw(_keyed_lists(st.tuples(_DEP_NAMES, _VERSIONS)))]
+    environment = [list(pair) for pair in draw(_keyed_lists(st.tuples(_ENV_NAMES, _ENV_VALUES)))]
+    slots = [(version, 0)] + [(pair, i) for pair in depends + environment for i in (0, 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        holder, i = draw(st.sampled_from(slots))
+        text = holder[i]
+        at = draw(st.integers(0, len(text)))
+        holder[i] = draw(st.sampled_from(["", *(text[:at] + c + text[at:] for c in _ODD_CHARS)]))
+    return Attestation(
+        source="demo",
+        version=version[0],
+        architecture="all",
+        checksums=tuple(entry_for(name, name.encode()) for (name,) in filenames),
+        depends=tuple(DependencyPin(name, dep_version) for name, dep_version in depends),
+        environment=tuple((name, value) for name, value in environment),
+        builder_id="builder-1",
+    )
+
+
+def _breaks_the_line_grammar(att: Attestation) -> bool:
+    """True iff some field's text cannot go through the line grammar as it
+    is: these are the faults a parse reports with a line number."""
+    return (
+        att.version != att.version.strip() or not att.version or "\n" in att.version
+        or any(
+            not dep.name or any(c in dep.name for c in " \n")
+            or not dep.version or any(c in dep.version for c in " ()\n")
+            for dep in att.depends
+        )
+        or any(
+            not name or any(c in name for c in "=\n") or any(c in value for c in '"\n')
+            for name, value in att.environment
+        )
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_unchecked_attestations())
+@example(small_attestation())
+@example(dataclasses.replace(small_attestation(), version="1.0 1"))
+@example(dataclasses.replace(small_attestation(), depends=(DependencyPin("gcc", "(0"),)))
+@example(dataclasses.replace(small_attestation(), environment=(("TZ", "UTC"), ("TZ", 'U"C'))))
+def test_parse_accepts_exactly_what_validate_accepts(att):
+    """The generated form of the fixed fault table above: whatever the lists
+    hold, a parse of the unchecked serialization agrees with
+    ``validate_attestation``, and a fault the line grammar cannot see is
+    reported with no line and ``validate_attestation``'s exact message."""
+    try:
+        validate_attestation(att)
+        expected = None
+    except ValidationError as err:
+        expected = str(err)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attestation, "validate_attestation", lambda att: None)
+        data = serialize_buildinfo(att)
+    try:
+        parsed = parse_buildinfo(data)
+    except ParseError as err:
+        assert expected is not None
+        assert (err.line is not None) == _breaks_the_line_grammar(att)
+        if err.line is None:
+            assert str(err) == expected
+    else:
+        assert expected is None
+        assert parsed == att
 
 
 def _has_whitespace_oracle(text: str) -> bool:

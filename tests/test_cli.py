@@ -365,6 +365,41 @@ def test_verify_wrong_public_key(tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().out
 
 
+def test_generate_key_creates_a_private_key_and_never_replaces_one(tmp_path, capsys):
+    generate_fixture(FixtureKind.CONTROL, tmp_path / "src")
+    key, pub = tmp_path / "builder.key", tmp_path / "builder.key.pub"
+    stage, signed_path = tmp_path / "stage", tmp_path / "att.signed"
+    argv = [
+        "attest", str(tmp_path / "src"), "--builder-id", "rebuilder-01",
+        "--key", str(key), "--generate-key",
+        "--staging", str(stage), "--out", str(signed_path),
+    ]
+    umask = os.umask(0o022)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        os.umask(umask)
+    assert (key.stat().st_mode & 0o777, pub.stat().st_mode & 0o777) == (0o600, 0o644)
+    pair = (key.read_bytes(), pub.read_bytes())
+    signed_path.unlink()
+    staged = sorted(stage.iterdir())
+    capsys.readouterr()
+
+    # A second run refuses before it builds and leaves the pinned pair alone.
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"error: key file exists, not replaced: {key}\n"
+    assert (key.read_bytes(), pub.read_bytes()) == pair
+    assert sorted(stage.iterdir()) == staged
+    assert not signed_path.exists()
+
+    # With only the public half left, no private key is left behind either.
+    key.unlink()
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"error: key file exists, not replaced: {pub}\n"
+    assert not key.exists()
+    assert pub.read_bytes() == pair[1]
+
+
 def signed_pair(tmp_path, artifact: Path, *, listed_as=None, size=None, forge=False):
     """Sign an attestation of ``artifact`` and return (attestation, pinned key).
 

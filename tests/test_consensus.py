@@ -262,6 +262,35 @@ def test_load_detects_renamed_entry(store):
     assert "builder id mismatch" in str(err.value)
 
 
+@pytest.mark.parametrize("forgery,reason", [
+    ("fingerprint", "fingerprint does not match the pinned key of 'rebuilder-01'"),
+    ("signature", "bad signature from 'rebuilder-01'"),
+])
+def test_submit_and_load_give_the_same_reason_for_a_forged_entry(store, forgery, reason):
+    import dataclasses
+
+    private_key, public_key = generate_signing_key()
+    other_private, other_public = generate_signing_key()
+    store.register_builder("rebuilder-01", public_key)
+    if forgery == "fingerprint":
+        # signed by the pinned key, but the fingerprint line names another
+        sa = signed_attestation("rebuilder-01", private_key, {"pkg.deb": H_GOOD})
+        forged = dataclasses.replace(sa, public_key_fingerprint=key_fingerprint(other_public))
+    else:
+        # signed by another key, but carrying the pinned key's fingerprint
+        sa = signed_attestation("rebuilder-01", other_private, {"pkg.deb": H_GOOD})
+        forged = dataclasses.replace(sa, public_key_fingerprint=key_fingerprint(public_key))
+    with pytest.raises(StoreError) as submitted:
+        store.submit(forged)
+    group = store.root / "att" / "demo_1.0_all"
+    group.mkdir(parents=True)
+    (group / "rebuilder-01.buildinfo.signed").write_bytes(serialize_signed(forged))
+    with pytest.raises(StoreError) as loaded:
+        store.load("demo", "1.0", "all")
+    assert str(submitted.value) == f"rejected: {reason}"
+    assert str(loaded.value) == f"corrupt store entry rebuilder-01.buildinfo.signed: {reason}"
+
+
 def test_load_empty_and_unknown_release(store):
     assert store.load("demo", "1.0", "all") == []
 

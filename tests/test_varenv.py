@@ -228,6 +228,29 @@ def test_load_profile_accepts_the_range_ends(tmp_path, old, new, name, value):
     assert load_profile(config).env[name] == value
 
 
+@pytest.mark.parametrize("knob,needle", [
+    ("fs_ordering = sideways", "unknown ordering token 'sideways'"),
+    ("fs_ordering = shuffled:x", "bad shuffle seed in 'shuffled:x'"),
+    ("umask = 09", "bad numeric knob"),
+    ("clock_skew_seconds = soon", "bad numeric knob"),
+])
+def test_load_profile_names_the_line_of_a_malformed_knob(tmp_path, knob, needle):
+    lines = [
+        "name = q", "clock_skew_seconds = 0", "build_path_component = b",
+        "fs_ordering = forward", "umask = 022", "locale = C", "timezone = UTC",
+        "hostname = h", "username = u",
+    ]
+    key = knob.partition(" ")[0]
+    lines = [line for line in lines if line.partition(" ")[0] != key] + ["", knob]
+    config = tmp_path / "p.conf"
+    config.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_profile(config)
+    assert err.value.line == len(lines) == 10
+    assert str(err.value).startswith("line 10: ")
+    assert needle in str(err.value)
+
+
 def test_replaced_knobs_reach_the_environment():
     first, second = default_profiles()
     env = replace(second, timezone="UTC", umask=0o022).env
