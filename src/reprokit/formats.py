@@ -15,10 +15,11 @@ they fill in host metadata). So this module owns the byte-level formats:
 Each on-disk record is one full-width ``struct.Struct`` that its parser
 unpacks and its writer packs; ``pack`` NUL-pads short byte fields and cuts
 long ones, so writers check lengths and ranges first. Every deflated body,
-gzip or zip, is raw deflate at zlib level 6, the default of GNU ``gzip -n``
-and ``git archive``. A body of more than ``DEFLATE_BLOCK`` bytes is deflated
-in blocks of that size, as ``pigz`` does, side by side on the usable CPUs;
-the bytes depend on the block size and never on the number of threads.
+gzip or zip, is raw deflate. A body of at most ``DEFLATE_BLOCK`` bytes is
+deflated at zlib level 6, the default of GNU ``gzip -n`` and ``git archive``.
+A longer one is deflated in blocks of that size at level 5, as ``pigz``
+does, side by side on the usable CPUs; the bytes depend on the block size
+and the two levels, and never on the number of threads.
 
 Members carry the union of the metadata the three formats support; fields a
 format lacks stay None. This module also owns the decisions every reader of
@@ -132,6 +133,12 @@ def _byte_sum(span: bytes) -> int:
     return (zlib.adler32(span) & 0xFFFF) - 1
 
 
+def _tar_header_sum(block: bytes) -> int:
+    """The byte sum of a 512-byte header block, the ustar checksum when its
+    chksum field holds eight spaces."""
+    return _byte_sum(block[:256]) + _byte_sum(block[256:])
+
+
 def _tar_content(data: bytes, pos: int, size: int) -> tuple[bytes, int]:
     """The content of the member whose header block is at ``pos``, and the
     offset of the block after its padding."""
@@ -177,7 +184,7 @@ def parse_tar(data: bytes, seen: dict | None = None) -> list[Member]:
             raise FormatError("bad magic (not a ustar header)", pos + 257)
         stored_sum = _tar_octal(chksum, pos + 148, "chksum")
         # The checksum counts its own field as eight spaces.
-        actual_sum = _byte_sum(block[:256]) + _byte_sum(block[256:]) - sum(chksum) + 8 * 0x20
+        actual_sum = _tar_header_sum(block) - sum(chksum) + 8 * 0x20
         if stored_sum != actual_sum:
             raise FormatError(
                 f"header checksum mismatch (stored {stored_sum}, actual {actual_sum})",
@@ -279,7 +286,7 @@ def write_tar(members: list[Member]) -> bytes:
         ))
         # Summed with its own field as eight spaces, the checksum is six
         # digits, a NUL, and the last of those spaces.
-        header[148:155] = b"%06o\x00" % sum(header)
+        header[148:155] = b"%06o\x00" % _tar_header_sum(header)
         chunks += (header, m.content, b"\x00" * (-len(m.content) % TAR_BLOCK))
     chunks.append(b"\x00" * (2 * TAR_BLOCK))
     return b"".join(chunks)
@@ -336,19 +343,29 @@ def parse_gzip(data: bytes) -> GzipStream:
 #: Input bytes per canonical deflate block. It is part of the canonical
 #: format: another size deflates a longer body to other bytes.
 DEFLATE_BLOCK = 128 * 1024
+#: zlib level of a body of at most one block, the default of GNU ``gzip -n``
+#: and ``git archive``.
+DEFLATE_LEVEL = 6
+#: zlib level of every block of a longer body: the same lazy matching with
+#: match chains of 32 instead of 128, which saves time on long text. Both
+#: levels are part of the canonical format, as the block size is.
+DEFLATE_BLOCK_LEVEL = 5
 #: Input bytes before a block that prime its compressor: deflate's window.
 _DEFLATE_WINDOW = 32 * 1024
 
 
 def _deflate_block(data: bytes, start: int) -> bytes:
-    """The block of ``data`` at ``start``, deflated at level 6 by a compressor
-    primed with the input before it. A block that is not the last ends with
-    a sync flush, so the next block's deflate starts on a byte boundary."""
+    """The block of ``data`` at ``start``, deflated by a compressor primed
+    with the input before it, at ``DEFLATE_LEVEL`` when it is the whole body
+    and at ``DEFLATE_BLOCK_LEVEL`` otherwise. A block that is not the last
+    ends with a sync flush, so the next block's deflate starts on a byte
+    boundary."""
     end = start + DEFLATE_BLOCK
+    level = DEFLATE_LEVEL if len(data) <= DEFLATE_BLOCK else DEFLATE_BLOCK_LEVEL
     if start:
-        comp = zlib.compressobj(6, wbits=-15, zdict=data[max(0, start - _DEFLATE_WINDOW):start])
+        comp = zlib.compressobj(level, wbits=-15, zdict=data[max(0, start - _DEFLATE_WINDOW):start])
     else:
-        comp = zlib.compressobj(6, wbits=-15)
+        comp = zlib.compressobj(level, wbits=-15)
     body = comp.compress(data[start:end])
     return body + comp.flush(zlib.Z_SYNC_FLUSH if end < len(data) else zlib.Z_FINISH)
 
@@ -361,15 +378,16 @@ def _usable_cpus() -> int:
 
 
 def _deflate(data: bytes) -> bytes:
-    """The canonical deflate body: raw deflate (no zlib header) at level 6.
+    """The canonical deflate body: raw deflate, with no zlib header.
 
-    The body is one stream deflated in ``DEFLATE_BLOCK``-byte blocks, each
-    by its own compressor primed with up to 32 KiB of the input before it.
-    Every block but the last ends with a sync flush, and the last ends the
-    stream. A body of one block is deflated by one compressor in one call,
-    so its bytes are plain level-6 raw deflate. zlib releases the GIL while
-    it deflates, so the blocks of a longer body are deflated on up to one
-    thread per usable CPU; the threads are joined before this returns.
+    A body of at most ``DEFLATE_BLOCK`` bytes is deflated by one compressor
+    at ``DEFLATE_LEVEL`` in one call, so its bytes are plain level-6 raw
+    deflate. A longer body is one stream deflated in ``DEFLATE_BLOCK``-byte
+    blocks at ``DEFLATE_BLOCK_LEVEL``, each by its own compressor primed with
+    up to 32 KiB of the input before it. Every block but the last ends with
+    a sync flush, and the last ends the stream. zlib releases the GIL while
+    it deflates, so those blocks are deflated on up to one thread per usable
+    CPU; the threads are joined before this returns.
     """
     starts = range(0, len(data), DEFLATE_BLOCK)
     if len(starts) <= 1:
@@ -381,10 +399,11 @@ def _deflate(data: bytes) -> bytes:
 
 
 def write_gzip(payload: bytes, mtime: int = 0, filename: str | None = None) -> bytes:
-    """Emit a canonical gzip file: level-6 deflate, XFL=0, OS byte 255.
+    """Emit a canonical gzip file: the canonical deflate body, XFL=0, OS
+    byte 255.
 
     XFL 0 because RFC 1952 reserves 2 for maximum and 4 for fastest
-    compression, and level 6 is neither.
+    compression, and levels 5 and 6 are neither.
     """
     if not 0 <= mtime < 1 << 32:
         raise ValidationError("gzip mtime out of 32-bit range")
@@ -563,8 +582,8 @@ def parse_zip_with_errors(
 
 
 def write_zip(members: list[Member]) -> bytes:
-    """Emit a canonical zip: level-6 deflate for files, stored directories,
-    no extra fields, no comments."""
+    """Emit a canonical zip: the canonical deflate body for files, stored
+    directories, no extra fields, no comments."""
     locals_out: list[bytes] = []
     centrals: list[bytes] = []
     offset = 0

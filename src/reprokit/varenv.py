@@ -124,6 +124,30 @@ def ordered_entries(directory: Path | str, ordering: FsOrdering) -> list[str]:
 # -- profiles ---------------------------------------------------------------
 
 
+def _check_path_component(component: str) -> None:
+    if not component or "/" in component or "\\" in component or component in (".", ".."):
+        raise ValidationError("build_path_component must be a single path segment")
+
+
+def _check_umask(umask: int) -> None:
+    if not 0 <= umask <= 0o777:
+        raise ValidationError(f"umask must be within 000..777 octal, got {umask:o}")
+
+
+def _check_source_date_epoch(epoch: int | None) -> None:
+    if epoch is not None and epoch < 0:
+        raise ValidationError(f"source_date_epoch must not be negative, got {epoch}")
+
+
+#: The range check of each knob that has one, made by the profile itself and,
+#: so that a fault names its line, by ``load_profile`` as it reads the knob.
+_KNOB_CHECKS = {
+    "build_path_component": _check_path_component,
+    "umask": _check_umask,
+    "source_date_epoch": _check_source_date_epoch,
+}
+
+
 @dataclass(frozen=True)
 class VariationProfile:
     """Every knob of one build's variation; :attr:`env` is derived from them."""
@@ -140,15 +164,8 @@ class VariationProfile:
     source_date_epoch: int | None = None
 
     def __post_init__(self) -> None:
-        component = self.build_path_component
-        if not component or "/" in component or "\\" in component or component in (".", ".."):
-            raise ValidationError("build_path_component must be a single path segment")
-        if not 0 <= self.umask <= 0o777:
-            raise ValidationError(f"umask must be within 000..777 octal, got {self.umask:o}")
-        if self.source_date_epoch is not None and self.source_date_epoch < 0:
-            raise ValidationError(
-                f"source_date_epoch must not be negative, got {self.source_date_epoch}"
-            )
+        for knob, check in _KNOB_CHECKS.items():
+            check(getattr(self, knob))
 
     @property
     def env(self) -> dict[str, str]:
@@ -270,9 +287,11 @@ def load_profile(path: Path | str) -> VariationProfile:
             raise ParseError(f"duplicate knob {key!r}", line_no)
         try:
             values[key] = _KNOB_PARSERS.get(key, str)(text)
+            if key in _KNOB_CHECKS:
+                _KNOB_CHECKS[key](values[key])
         except ValueError as err:
             raise ParseError(f"bad numeric knob: {err}", line_no) from None
-        except ParseError as err:
+        except (ParseError, ValidationError) as err:
             raise ParseError(str(err), line_no) from None
     missing = sorted(
         name for name, field in knobs.items()

@@ -784,14 +784,17 @@ def test_installed_console_script():
 
 
 def test_version_names_reprokit_and_its_zlib(capsys):
-    """`--version` names both things normalized bytes depend on."""
+    """`--version` names both things normalized bytes depend on, and README's
+    example of it names the version that `pyproject.toml` and the package do."""
     assert cli.main(["--version"]) == 0
     assert capsys.readouterr().out == (
         f"reprokit {reprokit.__version__} (zlib {zlib.ZLIB_RUNTIME_VERSION})\n"
     )
+    root = Path(__file__).resolve().parents[1]
+    examples = re.findall(r"reprokit (\S+) \(zlib ", (root / "README.md").read_text())
+    assert examples and set(examples) == {reprokit.__version__}
     tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    assert tomllib.loads(pyproject.read_text())["project"]["version"] == reprokit.__version__
+    assert tomllib.loads((root / "pyproject.toml").read_text())["project"]["version"] == reprokit.__version__
 
 
 #: Modules that only some commands need: the Ed25519 backend, the build

@@ -31,6 +31,7 @@ from reprokit.formats import (
     write_tar,
     write_zip,
 )
+from reprokit.normalize import NormalizePolicy, normalize_bytes
 
 
 def stdlib_tar(entries) -> bytes:
@@ -387,7 +388,8 @@ def test_parse_zip_rejects_missing_eocd():
 
 
 def raw_deflate_level6(data: bytes) -> bytes:
-    """This host's zlib at the canonical setting, the oracle for every body."""
+    """This host's zlib at the canonical setting, the oracle for every body
+    of at most one block."""
     comp = zlib.compressobj(6, wbits=-15)
     return comp.compress(data) + comp.flush()
 
@@ -456,25 +458,29 @@ def test_write_zip_bodies_are_level_6_raw_deflate():
             assert body == raw_deflate_level6(member.content)
 
 
-#: The canonical deflate block and the input that primes each block after
-#: the first, fixed here as part of the format.
+#: The canonical deflate block, the input that primes each block after the
+#: first, the level of a body of at most one block and the level of every
+#: block of a longer body, fixed here as part of the format.
 BLOCK = 128 * 1024
 WINDOW = 32 * 1024
+LEVEL = 6
+BLOCK_LEVEL = 5
 
 
-def blocked_deflate(data: bytes) -> bytes:
+def blocked_deflate(data: bytes, level: int = BLOCK_LEVEL) -> bytes:
     """Serial reference of the canonical body: a body of one block is plain
-    level-6 raw deflate; a longer one is deflated ``BLOCK`` bytes at a time,
-    each block by a compressor primed with the ``WINDOW`` bytes before it,
-    and every block but the last ends with a sync flush."""
+    level-6 raw deflate; a longer one is deflated ``BLOCK`` bytes at a time
+    at ``level``, each block by a compressor primed with the ``WINDOW``
+    bytes before it, and every block but the last ends with a sync flush.
+    With ``level`` 6 it gives the bodies that version 0.3.0 wrote."""
     if len(data) <= BLOCK:
         return raw_deflate_level6(data)
     out = []
     for start in range(0, len(data), BLOCK):
         if start == 0:
-            comp = zlib.compressobj(6, wbits=-15)
+            comp = zlib.compressobj(level, wbits=-15)
         else:
-            comp = zlib.compressobj(6, wbits=-15, zdict=data[max(0, start - WINDOW):start])
+            comp = zlib.compressobj(level, wbits=-15, zdict=data[max(0, start - WINDOW):start])
         last = start + BLOCK >= len(data)
         out.append(comp.compress(data[start:start + BLOCK])
                    + comp.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
@@ -501,6 +507,20 @@ BLOCK_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + WINDOW,
 
 def test_deflate_block_is_the_reference_block():
     assert formats.DEFLATE_BLOCK == BLOCK
+
+
+def test_deflate_levels_are_the_reference_levels():
+    assert (formats.DEFLATE_LEVEL, formats.DEFLATE_BLOCK_LEVEL) == (LEVEL, BLOCK_LEVEL)
+
+
+@pytest.mark.parametrize("kind", ["text", "random"])
+def test_one_block_is_level_6_and_one_byte_more_is_level_5_blocks(kind):
+    payload = sized_payload(kind, BLOCK + 1)
+    assert formats._deflate(payload[:BLOCK]) == raw_deflate_level6(payload[:BLOCK])
+    assert formats._deflate(payload) == blocked_deflate(payload, level=BLOCK_LEVEL)
+    if kind == "text":
+        # Text is where the two levels' match chains find different matches.
+        assert blocked_deflate(payload, level=BLOCK_LEVEL) != blocked_deflate(payload, level=LEVEL)
 
 
 @pytest.mark.parametrize("size", BLOCK_SIZES)
@@ -575,6 +595,43 @@ def test_a_failing_block_propagates_and_leaves_no_thread(monkeypatch):
         formats._deflate(sized_payload("text", 3 * BLOCK))
     assert raised.value is failure
     assert threading.active_count() == before
+
+
+def test_level_6_blocks_normalize_again_to_level_5_blocks(monkeypatch):
+    """A multi-block gzip and zip member written as 0.3.0 wrote them, with
+    level-6 blocks, normalize again to the level-5 blocks of 0.4.0. The
+    members they decode to are the same, the new bytes are idempotent, and
+    the stdlib reads them back."""
+    content = sized_payload("text", 3 * BLOCK + 7)
+    canonical = dict(mtime=0, uid=0, gid=0, uname="root", gname="root", mode=0o644)
+    members = [Member(name="a.txt", content=b"ay\n", **canonical),
+               Member(name="big.txt", content=content, **canonical)]
+    tar = write_tar(members)
+    zip_members = [Member(name="big.txt", content=content, mtime=0, mode=0o644)]
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "DEFLATE_BLOCK_LEVEL", LEVEL)
+        old_gz = write_gzip(tar)
+        old_zip = write_zip(zip_members)
+    assert old_gz[10:-8] == blocked_deflate(tar, level=LEVEL)
+    assert only_zip_body(old_zip) == blocked_deflate(content, level=LEVEL)
+
+    policy = NormalizePolicy(epoch=0)
+    new_gz, new_zip = normalize_bytes(old_gz, policy), normalize_bytes(old_zip, policy)
+    assert new_gz == write_gzip(tar) != old_gz
+    assert new_gz[10:-8] == blocked_deflate(tar)
+    assert new_zip == write_zip(zip_members) != old_zip
+    assert only_zip_body(new_zip) == blocked_deflate(content)
+    assert parse_tar(parse_gzip(new_gz).payload) == parse_tar(parse_gzip(old_gz).payload) == members
+    assert parse_zip(new_zip) == parse_zip(old_zip)
+    assert normalize_bytes(new_gz, policy) == new_gz
+    assert normalize_bytes(new_zip, policy) == new_zip
+
+    with tarfile.open(fileobj=io.BytesIO(gzip_mod.decompress(new_gz))) as tf:
+        assert {m.name: tf.extractfile(m).read() for m in tf.getmembers()} == {
+            m.name: m.content for m in members}
+    with zipfile.ZipFile(io.BytesIO(new_zip)) as zf:
+        assert zf.testzip() is None
+        assert zf.read("big.txt") == content
 
 
 def central_entry_offsets(data: bytes) -> list[int]:

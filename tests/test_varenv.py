@@ -228,13 +228,9 @@ def test_load_profile_accepts_the_range_ends(tmp_path, old, new, name, value):
     assert load_profile(config).env[name] == value
 
 
-@pytest.mark.parametrize("knob,needle", [
-    ("fs_ordering = sideways", "unknown ordering token 'sideways'"),
-    ("fs_ordering = shuffled:x", "bad shuffle seed in 'shuffled:x'"),
-    ("umask = 09", "bad numeric knob"),
-    ("clock_skew_seconds = soon", "bad numeric knob"),
-])
-def test_load_profile_names_the_line_of_a_malformed_knob(tmp_path, knob, needle):
+def profile_ending_with(tmp_path, knob: str):
+    """A valid profile with ``knob`` moved to its last line, after a blank
+    one, and that line's number."""
     lines = [
         "name = q", "clock_skew_seconds = 0", "build_path_component = b",
         "fs_ordering = forward", "umask = 022", "locale = C", "timezone = UTC",
@@ -244,11 +240,36 @@ def test_load_profile_names_the_line_of_a_malformed_knob(tmp_path, knob, needle)
     lines = [line for line in lines if line.partition(" ")[0] != key] + ["", knob]
     config = tmp_path / "p.conf"
     config.write_text("\n".join(lines) + "\n")
+    return config, len(lines)
+
+
+@pytest.mark.parametrize("knob,needle", [
+    ("fs_ordering = sideways", "unknown ordering token 'sideways'"),
+    ("fs_ordering = shuffled:x", "bad shuffle seed in 'shuffled:x'"),
+    ("umask = 09", "bad numeric knob"),
+    ("clock_skew_seconds = soon", "bad numeric knob"),
+])
+def test_load_profile_names_the_line_of_a_malformed_knob(tmp_path, knob, needle):
+    config, line = profile_ending_with(tmp_path, knob)
     with pytest.raises(ParseError) as err:
         load_profile(config)
-    assert err.value.line == len(lines) == 10
+    assert err.value.line == line == 10
     assert str(err.value).startswith("line 10: ")
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("knob,message", [
+    ("umask = 1777", "umask must be within 000..777 octal, got 1777"),
+    ("fs_ordering = shuffled:18446744073709551616", "shuffle seed must fit in 64 bits"),
+    ("source_date_epoch = -5", "source_date_epoch must not be negative, got -5"),
+    ("build_path_component = a/b", "build_path_component must be a single path segment"),
+])
+def test_load_profile_names_the_line_of_an_out_of_range_knob(tmp_path, knob, message):
+    config, line = profile_ending_with(tmp_path, knob)
+    with pytest.raises(ParseError) as err:
+        load_profile(config)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_replaced_knobs_reach_the_environment():
