@@ -126,9 +126,9 @@ def make_attestation(
         source=source,
         version=version,
         architecture=architecture,
-        checksums=tuple(sorted(checksums, key=lambda e: e.filename.encode())),
-        depends=tuple(sorted(depends, key=lambda d: d.name.encode())),
-        environment=tuple(sorted(env_pairs, key=lambda kv: kv[0].encode())),
+        checksums=tuple(sorted(checksums, key=lambda e: e.filename)),
+        depends=tuple(sorted(depends, key=lambda d: d.name)),
+        environment=tuple(sorted(env_pairs, key=lambda kv: kv[0])),
         builder_id=builder_id,
     )
     validate_attestation(att)
@@ -156,6 +156,10 @@ def _check_filename(filename: str) -> None:
         raise ValidationError(f"artifact filename must be a basename: {filename!r}")
     if not _is_token(filename) or "\x00" in filename:
         raise ValidationError(f"artifact filename must not contain whitespace: {filename!r}")
+    try:
+        filename.encode()
+    except UnicodeEncodeError:
+        raise ValidationError(f"artifact filename must be UTF-8: {filename!r}") from None
 
 
 def validate_attestation(att: Attestation) -> None:
@@ -183,8 +187,10 @@ def validate_attestation(att: Attestation) -> None:
 def _check_strictly_sorted(keys, message: str) -> None:
     """Raise ValidationError(message) unless ``keys`` rise strictly in their
     UTF-8 bytes, which also rules out duplicates."""
-    encoded = [key.encode() for key in keys]
-    if any(a >= b for a, b in zip(encoded, encoded[1:])):
+    # Code-point order is UTF-8 byte order for every string that encodes, and
+    # every key checked here does, so comparing the strings is comparing bytes.
+    keys = list(keys)
+    if any(a >= b for a, b in zip(keys, keys[1:])):
         raise ValidationError(message)
 
 
@@ -285,14 +291,24 @@ def checksum_file(path: Path | str) -> ChecksumEntry:
 def compute_checksums(artifact_dir: Path | str) -> tuple[ChecksumEntry, ...]:
     """Hash every regular file in a flat artifact directory.
 
-    Entries come back sorted by filename. Subdirectories and symlinks are
-    structural errors: artifact directories are flat by contract.
+    Entries come back sorted by filename. Subdirectories, symlinks and file
+    names that are not UTF-8 are structural errors, the last before any file
+    is hashed: artifact directories are flat by contract, and an attestation
+    is UTF-8 text.
     """
     root = Path(artifact_dir)
     if not root.is_dir():
         raise StructuralError(f"not a directory: {root}")
+    children = sorted(root.iterdir(), key=lambda p: p.name)
+    for child in children:
+        try:
+            child.name.encode()
+        except UnicodeEncodeError:
+            raise StructuralError(
+                f"artifact file name is not UTF-8: {os.fsencode(child.name)!r}"
+            ) from None
     entries = []
-    for child in sorted(root.iterdir(), key=lambda p: p.name.encode()):
+    for child in children:
         if child.is_symlink():
             raise StructuralError(f"symlink not allowed in artifact dir: {child.name}")
         if child.is_dir():

@@ -51,7 +51,7 @@ from .compare import (
 )
 from .consensus import AttestationStore, Decision, verdict
 from .errors import ReproError
-from .fixtures import ALL_KINDS, generate_all, generate_fixture, kind_from_token, remediate_fixture
+from .fixtures import ALL_KINDS, generate_fixture, kind_from_token, remediate_fixture
 from .normalize import NormalizePolicy, normalize_auto, policy_from_env
 from .varenv import BuildRequest, apply_profile, default_profiles, load_profile
 
@@ -59,12 +59,6 @@ from .varenv import BuildRequest, apply_profile, default_profiles, load_profile
 # the Ed25519 backend on first key use, so other commands import neither.
 if TYPE_CHECKING:
     from .runner import ReproVerdict
-
-_STYLES = {
-    "text": ReportStyle.TEXT,
-    "json": ReportStyle.JSON,
-    "html": ReportStyle.HTML,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,7 +201,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     findings = [f for tree in trees for f in classify(tree, epochs)]
     if args.report:
         Path(args.report).write_bytes(
-            _check_report(v, trees, findings, _STYLES[args.format])
+            _check_report(v, trees, findings, ReportStyle(args.format))
         )
 
     if v.reproducible:
@@ -220,7 +214,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     root = compare_files(args.first, args.second)
-    payload = render_report(root, _STYLES[args.format])
+    payload = render_report(root, ReportStyle(args.format))
     if args.report:
         Path(args.report).write_bytes(payload)
         print(f"report written: {args.report}")
@@ -336,21 +330,16 @@ def cmd_consensus(args: argparse.Namespace) -> int:
 def cmd_fixtures(args: argparse.Namespace) -> int:
     dest = Path(args.dest)
     if args.fixtures_cmd == "generate":
-        if args.all:
-            generate_all(dest)
-            print(f"generated {len(ALL_KINDS)} fixtures under {dest}")
-        else:
-            generate_fixture(kind_from_token(args.kind), dest)
-            print(f"generated fixture '{args.kind}' at {dest}")
-        return 0
+        verb, make = "generated", generate_fixture
+    else:
+        verb, make = "remediated", remediate_fixture
     if args.all:
         for kind in ALL_KINDS:
-            remediate_fixture(kind, dest / kind.value)
-        print(f"remediated {len(ALL_KINDS)} fixtures under {dest}")
+            make(kind, dest / kind.value)
+        print(f"{verb} {len(ALL_KINDS)} fixtures under {dest}")
     else:
-        kind = kind_from_token(args.kind)
-        remediate_fixture(kind, dest)
-        print(f"remediated fixture '{args.kind}' at {dest}")
+        make(kind_from_token(args.kind), dest)
+        print(f"{verb} fixture '{args.kind}' at {dest}")
     return 0
 
 
@@ -374,12 +363,13 @@ def build_parser() -> _Parser:
                         version=f"%(prog)s {__version__} (zlib {zlib.ZLIB_RUNTIME_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
                                 metavar="<command>")
+    styles = sorted(style.value for style in ReportStyle)
 
     p = sub.add_parser("check", help="build twice under divergent profiles and compare")
     p.add_argument("source_dir")
     _add_build_args(p)
     p.add_argument("--report", metavar="PATH", help="write the difference report here")
-    p.add_argument("--format", choices=sorted(_STYLES), default="text")
+    p.add_argument("--format", choices=styles, default="text")
     p.add_argument("--profile-a", metavar="FILE", help="profile file for the first build")
     p.add_argument("--profile-b", metavar="FILE", help="profile file for the second build")
     p.set_defaults(func=cmd_check)
@@ -388,7 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--report", metavar="PATH", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=sorted(_STYLES), default="text")
+    p.add_argument("--format", choices=styles, default="text")
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("normalize", help="strip nondeterministic container metadata")

@@ -20,12 +20,13 @@ import html
 import itertools
 import json
 import operator
+import os
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 from .formats import (
     CONTAINERS,
     MAX_NESTING,
@@ -348,22 +349,13 @@ def _compare_members(
         return None
 
     children: list[DiffNode] = []
-    for name in sorted(set(index_a) | set(index_b), key=lambda n: n.encode()):
+    for name in sorted(index_a.keys() | index_b.keys()):
         child_path = f"{path}!{name}"
-        in_a, in_b = name in index_a, name in index_b
-        if in_a and not in_b:
-            m = index_a[name]
-            children.append(
-                DiffNode(child_path, detect_format(m.content), Status.ONLY_IN_FIRST, None)
-            )
+        ma, mb = index_a.get(name), index_b.get(name)
+        if ma is None or mb is None:
+            only = Status.ONLY_IN_SECOND if ma is None else Status.ONLY_IN_FIRST
+            children.append(DiffNode(child_path, detect_format((ma or mb).content), only, None))
             continue
-        if in_b and not in_a:
-            m = index_b[name]
-            children.append(
-                DiffNode(child_path, detect_format(m.content), Status.ONLY_IN_SECOND, None)
-            )
-            continue
-        ma, mb = index_a[name], index_b[name]
         if ma is mb or ma == mb:
             children.append(DiffNode(child_path, detect_format(ma.content), Status.SAME, None))
             continue
@@ -438,8 +430,13 @@ def compare_bytes(a: bytes, b: bytes, path: str = "artifact", depth: int = 0) ->
 
 
 def compare_files(path_a, path_b) -> DiffNode:
-    """Compare two files; the root node is named after the first."""
+    """Compare two files; the root node is named after the first, whose name
+    must therefore be UTF-8 for the report to be."""
     a, b = Path(path_a), Path(path_b)
+    try:
+        a.name.encode()
+    except UnicodeEncodeError:
+        raise ValidationError(f"file name is not UTF-8: {os.fsencode(a.name)!r}") from None
     return compare_bytes(a.read_bytes(), b.read_bytes(), a.name)
 
 
@@ -500,21 +497,8 @@ def _detail_to_json(detail: Detail | None):
             out["ordering_only"] = True
         return out
     if isinstance(detail, ByteRanges):
-        return {
-            "kind": "bytes",
-            "ranges": [
-                {
-                    "offset": r.offset,
-                    "len_first": r.len_first,
-                    "len_second": r.len_second,
-                    "first_hex": r.first_hex,
-                    "second_hex": r.second_hex,
-                    "first_zero": r.first_zero,
-                    "second_zero": r.second_zero,
-                }
-                for r in detail.ranges
-            ],
-        }
+        # Field order is key order; a copy, so the range keeps its own dict.
+        return {"kind": "bytes", "ranges": [dict(vars(r)) for r in detail.ranges]}
     return {"kind": "meta", "entries": [list(e) for e in detail.entries]}
 
 

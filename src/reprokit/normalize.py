@@ -16,14 +16,13 @@ genuine information and stays; one newer can only be build-time leakage.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import FormatError, ValidationError
 from .formats import (
     CONTAINERS,
     MAX_NESTING,
-    META_FIELDS,
     Format,
     Member,
     detect_format,
@@ -62,16 +61,12 @@ def policy_from_env(environ=None) -> NormalizePolicy:
 
 
 def _scrub(member: Member, policy: NormalizePolicy, content: bytes) -> Member:
-    scrubbed = {name: getattr(member, name) for name in META_FIELDS}
-    scrubbed["mtime"] = min(member.mtime or 0, policy.epoch)
+    """Clamp the mtime. Under ``zero_ownership`` the owners and mode are left
+    None, for which the canonical writers write their canonical values."""
+    scrubbed = {"content": content, "mtime": min(member.mtime or 0, policy.epoch)}
     if policy.zero_ownership:
-        scrubbed["uid"] = 0 if member.uid is not None else None
-        scrubbed["gid"] = 0 if member.gid is not None else None
-        scrubbed["uname"] = "root" if member.uname is not None else None
-        scrubbed["gname"] = "root" if member.gname is not None else None
-        if member.mode is not None:
-            scrubbed["mode"] = 0o755 if member.is_dir else 0o644
-    return Member(name=member.name, content=content, is_dir=member.is_dir, **scrubbed)
+        scrubbed.update(uid=None, gid=None, uname=None, gname=None, mode=None)
+    return replace(member, **scrubbed)
 
 
 def normalize_bytes(data: bytes, policy: NormalizePolicy, _depth: int = 0) -> bytes:
@@ -105,19 +100,18 @@ def _normalize_container(
         payload = normalize_bytes(gs.payload, policy, depth + 1)
         return write_gzip(payload, mtime=min(gs.mtime, policy.epoch))
     if fmt is Format.TAR:
-        parsed, write = parse_tar(data), write_tar
+        parsed = parse_tar(data)
     else:
         parsed, errors = parse_zip_with_errors(data)
         if errors:
             raise FormatError("cannot normalize: " + "; ".join(errors))
-        write = write_zip
     members = [
         _scrub(m, policy, m.content if m.is_dir else normalize_bytes(m.content, policy, depth + 1))
         for m in parsed
     ]
     if policy.sort_members:
-        members.sort(key=lambda m: m.name.encode())
-    return write(members)
+        members.sort(key=lambda m: m.name)
+    return write_tar(members) if fmt is Format.TAR else write_zip(members)
 
 
 def normalize_auto(path: Path | str, policy: NormalizePolicy) -> bytes:

@@ -39,7 +39,6 @@ from .varenv import (
     apply_profile,
     default_profiles,
     read_settings,
-    validate_request,
 )
 
 #: Exit code reserved for builds killed by the timeout.
@@ -292,7 +291,6 @@ def double_build(
     The builds are staged under ``staging_root``, which the caller owns: the
     verdict's artifact and log paths point into it, and it is left in place.
     """
-    validate_request(req)
     first_profile, second_profile = profiles if profiles is not None else default_profiles()
     first_pb = apply_profile(first_profile, req, staging_root)
     if second_profile.build_path_component != first_profile.build_path_component:

@@ -18,6 +18,7 @@ the profile's ordering, emulating an ordering-hostile filesystem.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -80,7 +81,7 @@ def ordering_from_token(token: str) -> FsOrdering:
         return Reverse()
     if token.startswith("shuffled:"):
         seed_s = token[len("shuffled:"):]
-        if not seed_s.isdigit():
+        if not (seed_s.isascii() and seed_s.isdigit()):
             raise ParseError(f"bad shuffle seed in {token!r}")
         return Shuffled(int(seed_s))
     raise ParseError(f"unknown ordering token {token!r}")
@@ -111,7 +112,7 @@ def ordered_entries(directory: Path | str, ordering: FsOrdering) -> list[str]:
     Forward is bytewise ascending, Reverse descending, Shuffled a seeded
     permutation of the ascending list.
     """
-    names = sorted(os.listdir(directory), key=lambda n: n.encode())
+    names = sorted(os.listdir(directory), key=os.fsencode)
     if isinstance(ordering, Forward):
         return names
     if isinstance(ordering, Reverse):
@@ -262,12 +263,25 @@ def read_settings(path: Path | str) -> list[tuple[str, str, int]]:
     return settings
 
 
+#: The digits of a profile number by base. Python's ``int`` alone would also
+#: take ``+5``, ``1_000``, ``0o22`` and digits outside ASCII.
+_DIGITS = {10: re.compile(r"-?[0-9]+"), 8: re.compile(r"-?[0-7]+")}
+
+
+def _knob_int(text: str, base: int = 10) -> int:
+    """A knob number: ASCII digits of ``base``, with an optional leading
+    ``-`` so that a negative value meets its knob's range check."""
+    if not _DIGITS[base].fullmatch(text):
+        raise ValueError(f"expected base-{base} digits, got {text!r}")
+    return int(text, base)
+
+
 #: Knobs whose text is not used as-is; every other knob is a plain string.
 _KNOB_PARSERS = {
-    "clock_skew_seconds": int,
+    "clock_skew_seconds": _knob_int,
     "fs_ordering": ordering_from_token,
-    "umask": lambda text: int(text, 8),
-    "source_date_epoch": int,
+    "umask": lambda text: _knob_int(text, 8),
+    "source_date_epoch": _knob_int,
 }
 
 
@@ -275,8 +289,9 @@ def load_profile(path: Path | str) -> VariationProfile:
     """Read a profile from a ``knob = value`` settings file.
 
     Every :class:`VariationProfile` field is a knob, and all but
-    ``source_date_epoch`` are required; ``umask`` is octal, ``fs_ordering``
-    uses the forward / reverse / shuffled:<seed> tokens.
+    ``source_date_epoch`` are required. A number is ASCII digits with an
+    optional leading ``-``, octal for ``umask``; ``fs_ordering`` uses the
+    forward / reverse / shuffled:<seed> tokens, the seed in ASCII digits.
     """
     knobs = {field.name: field for field in fields(VariationProfile)}
     values: dict[str, object] = {}

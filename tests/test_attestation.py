@@ -7,6 +7,7 @@ import dataclasses
 import errno
 import hashlib
 import itertools
+import os
 import random
 import threading
 import tracemalloc
@@ -202,6 +203,38 @@ def test_compute_checksums_rejects_symlinks(tmp_path):
     (tmp_path / "link").symlink_to(tmp_path / "real")
     with pytest.raises(StructuralError):
         compute_checksums(tmp_path)
+
+
+def test_compute_checksums_refuses_a_name_that_is_not_utf8_before_hashing(
+    tmp_path, monkeypatch
+):
+    (tmp_path / "a").write_bytes(b"one")
+    (tmp_path / os.fsdecode(b"b\xff")).write_bytes(b"two")
+
+    def hash_nothing(path):
+        raise AssertionError(f"hashed {path}")
+
+    monkeypatch.setattr(attestation, "checksum_file", hash_nothing)
+    with pytest.raises(StructuralError) as err:
+        compute_checksums(tmp_path)
+    assert str(err.value) == "artifact file name is not UTF-8: b'b\\xff'"
+
+
+@settings(max_examples=300)
+@given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)))))
+def test_code_point_order_is_utf8_byte_order(names):
+    """Names that encode sort the same as strings and as UTF-8 bytes, so
+    sorting and comparing them as strings gives their byte order."""
+    assert sorted(names) == sorted(names, key=str.encode)
+
+
+def test_make_attestation_refuses_a_filename_that_is_not_utf8():
+    with pytest.raises(ValidationError, match="artifact filename must be UTF-8"):
+        make_attestation(
+            source="demo", version="1", architecture="all",
+            checksums=[entry_for("b", b"2"), entry_for("a\udcff", b"1")],
+            depends=[], environment={}, builder_id="b1",
+        )
 
 
 def test_make_attestation_sorts_lists():

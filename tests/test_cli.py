@@ -163,6 +163,52 @@ def test_check_build_failure_without_staging_keeps_only_its_logs(tmp_path, priva
     assert b"kaboom" in (log_dir / "first-build.log").read_bytes()
 
 
+#: A file name that is not UTF-8, as ``os.listdir`` returns it.
+NOT_UTF8 = os.fsdecode(b"\xff")
+
+
+def non_utf8_probe(tmp_path, probe: str) -> list[str]:
+    """The arguments of one command that meets a file name that is not UTF-8."""
+    if probe == "diff":
+        (tmp_path / f"x{NOT_UTF8}").write_text("one\n")
+        (tmp_path / "y").write_text("two\n")
+        return ["diff", f"x{NOT_UTF8}", "y"]
+    if probe == "source":
+        src = make_tree(tmp_path, "import os\nos.mkdir('out')\nopen('out/a.txt', 'w').write('a')\n")
+        (src / f"b{NOT_UTF8}").write_text("staged, never built from\n")
+        return ["check", str(src)]
+    src = make_tree(tmp_path, "import os\nos.mkdir('out')\nopen(b'out/a\\xff', 'w').write('a')\n")
+    if probe == "check":
+        return ["check", str(src)]
+    return ["attest", str(src), "--builder-id", "b-01", "--key", "k", "--generate-key"]
+
+
+@pytest.mark.parametrize("probe,code,err", [
+    ("source", 0, None),
+    ("check", 3, "error: artifact file name is not UTF-8: b'a\\xff'\n"),
+    ("attest", 3, "error: artifact file name is not UTF-8: b'a\\xff'\n"),
+    ("diff", 3, "error: file name is not UTF-8: b'x\\xff'\n"),
+])
+def test_a_file_name_that_is_not_utf8_stages_or_is_refused(tmp_path, probe, code, err):
+    """A source file's name is staged as its bytes; an artifact's name, or the
+    name a diff report starts from, is an input error. Neither is a
+    traceback, and no staging is left behind."""
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    argv = non_utf8_probe(tmp_path, probe)
+    proc = subprocess.run(
+        [sys.executable, "-m", "reprokit.cli", *argv], capture_output=True, text=True,
+        cwd=tmp_path, env=source_tree_env() | {"TMPDIR": str(tmpdir)}, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if err is not None:
+        assert (proc.stdout, proc.stderr) == ("", err)
+    else:
+        assert proc.stdout == "reproducible: 1 artifact(s) bit-for-bit identical\n"
+    assert list(tmpdir.iterdir()) == []
+
+
 def write_profile(path: Path, name: str, clock_skew_seconds: int) -> Path:
     path.write_text(
         f"name = {name}\nclock_skew_seconds = {clock_skew_seconds}\n"

@@ -14,7 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reprokit.errors import FormatError, ValidationError
-from reprokit.formats import Member, parse_gzip, parse_tar, parse_zip, write_tar, write_zip
+from reprokit.formats import (
+    CONTAINERS,
+    META_FIELDS,
+    Member,
+    detect_format,
+    parse_gzip,
+    parse_tar,
+    parse_zip,
+    write_tar,
+    write_zip,
+)
 from reprokit.normalize import (
     MAX_NESTING,
     NormalizePolicy,
@@ -433,3 +443,67 @@ def test_normalized_output_is_canonical_whatever_the_input_level(
     assert _stdlib_leaves(kind, out) == {name: data for name, data, _ in members}
     assert normalize_bytes(out, POLICY) == out
     assert normalize_bytes(_stdlib_container(kind, shuffled, level_b), POLICY) == out
+
+
+def scrub_value_by_value(member: Member, policy: NormalizePolicy) -> Member:
+    """The scrub with every canonical value spelled out: the mtime clamped and,
+    under ``zero_ownership``, each present owner field and mode made canonical."""
+    scrubbed = {name: getattr(member, name) for name in META_FIELDS}
+    scrubbed["mtime"] = min(member.mtime or 0, policy.epoch)
+    if policy.zero_ownership:
+        scrubbed["uid"] = 0 if member.uid is not None else None
+        scrubbed["gid"] = 0 if member.gid is not None else None
+        scrubbed["uname"] = "root" if member.uname is not None else None
+        scrubbed["gname"] = "root" if member.gname is not None else None
+        if member.mode is not None:
+            scrubbed["mode"] = 0o755 if member.is_dir else 0o644
+    return Member(name=member.name, content=member.content, is_dir=member.is_dir, **scrubbed)
+
+
+#: Members with owners and modes: contents that are no container (None for a
+#: directory), empty owner names, a mode of 0 and zips made elsewhere than on
+#: Unix, the last two read back as no mode at all.
+_OWNED_MEMBERS = st.lists(
+    st.tuples(
+        st.from_regex(r"([a-zé€𝔸]{1,3}/)?[a-zé€𝔸]{1,4}", fullmatch=True),
+        st.none() | st.binary(max_size=200).filter(lambda b: detect_format(b) not in CONTAINERS),
+        st.integers(315_532_800, 2**31 - 1),
+        st.integers(0, 2**21 - 1),
+        st.integers(0, 2**21 - 1),
+        st.sampled_from(["", "root", "builder"]),
+        st.sampled_from(["", "root", "staff"]),
+        st.sampled_from([0, 0o600, 0o644, 0o755, 0o4711]),
+        st.booleans(),
+    ),
+    min_size=1, max_size=5, unique_by=lambda m: m[0],
+)
+
+
+def _owned_container(kind: str, members) -> bytes:
+    if kind == "tar":
+        return stdlib_tar([entry[:8] for entry in members])
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, data, mtime, _uid, _gid, _uname, _gname, mode, unix in members:
+            info = zipfile.ZipInfo(name if data is not None else name + "/", time.gmtime(mtime)[:6])
+            info.create_system = 3 if unix else 0
+            info.external_attr = mode << 16
+            zf.writestr(info, data or b"", compress_type=zipfile.ZIP_DEFLATED)
+    return buf.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["tar", "zip"]), _OWNED_MEMBERS, st.booleans(), st.booleans(),
+       st.integers(315_532_800, 2**31 - 1))
+def test_the_canonical_writers_make_owners_and_modes_canonical(
+    kind, members, zero_ownership, sort_members, epoch
+):
+    """Normalizing equals writing the members scrubbed value by value, sorted
+    by their UTF-8 bytes, through the canonical writer."""
+    data = _owned_container(kind, members)
+    policy = NormalizePolicy(epoch=epoch, zero_ownership=zero_ownership, sort_members=sort_members)
+    parse, write = (parse_tar, write_tar) if kind == "tar" else (parse_zip, write_zip)
+    expected = [scrub_value_by_value(m, policy) for m in parse(data)]
+    if sort_members:
+        expected.sort(key=lambda m: m.name.encode())
+    assert normalize_bytes(data, policy) == write(expected)

@@ -272,6 +272,23 @@ def test_load_profile_names_the_line_of_an_out_of_range_knob(tmp_path, knob, mes
     assert str(err.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("knob,message", [
+    ("fs_ordering = shuffled:٣", "bad shuffle seed in 'shuffled:٣'"),
+    ("fs_ordering = shuffled:²", "bad shuffle seed in 'shuffled:²'"),
+    ("source_date_epoch = ٥", "bad numeric knob: expected base-10 digits, got '٥'"),
+    ("umask = 0o22", "bad numeric knob: expected base-8 digits, got '0o22'"),
+    ("clock_skew_seconds = 1_000", "bad numeric knob: expected base-10 digits, got '1_000'"),
+    ("clock_skew_seconds = +5", "bad numeric knob: expected base-10 digits, got '+5'"),
+    ("umask = -1", "umask must be within 000..777 octal, got -1"),
+], ids=["arabic-indic-seed", "superscript-seed", "arabic-indic-epoch", "prefixed-octal",
+        "underscore", "plus-sign", "negative-umask"])
+def test_load_profile_reads_numbers_in_ascii_digits_only(tmp_path, knob, message):
+    config, line = profile_ending_with(tmp_path, knob)
+    with pytest.raises(ParseError) as err:
+        load_profile(config)
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_replaced_knobs_reach_the_environment():
     first, second = default_profiles()
     env = replace(second, timezone="UTC", umask=0o022).env
