@@ -135,11 +135,20 @@ def make_attestation(
     return att
 
 
+def _check_utf8(what: str, text: str) -> None:
+    """Refuse text with a lone surrogate, which has no UTF-8 form."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        raise ValidationError(f"{what} must be UTF-8: {text!r}") from None
+
+
 def _check_scalar(name: str, value: str) -> None:
     if not value:
         raise ValidationError(f"{name} must be nonempty")
     if "\n" in value or value != value.strip():
         raise ValidationError(f"{name} must have no newlines or surrounding whitespace")
+    _check_utf8(name, value)
 
 
 def _is_token(text: str) -> bool:
@@ -156,18 +165,16 @@ def _check_filename(filename: str) -> None:
         raise ValidationError(f"artifact filename must be a basename: {filename!r}")
     if not _is_token(filename) or "\x00" in filename:
         raise ValidationError(f"artifact filename must not contain whitespace: {filename!r}")
-    try:
-        filename.encode()
-    except UnicodeEncodeError:
-        raise ValidationError(f"artifact filename must be UTF-8: {filename!r}") from None
+    _check_utf8("artifact filename", filename)
 
 
 def validate_attestation(att: Attestation) -> None:
     """Check every type invariant; raise ValidationError on the first breach.
 
-    The checks that ``parse_buildinfo``'s line grammar also makes come first:
-    the four scalars, then each checksum entry's filename, size and digests.
-    ``_check_relations`` makes the rest, for both.
+    The checks that ``parse_buildinfo``'s line grammar or its UTF-8 decode
+    also makes come first: the four scalars, each checksum entry's filename,
+    size and digests, then that each dependency version and environment
+    value encodes. ``_check_relations`` makes the rest, for both.
     """
     _check_scalar("Source", att.source)
     _check_scalar("Version", att.version)
@@ -181,6 +188,10 @@ def validate_attestation(att: Attestation) -> None:
             raise ValidationError(f"bad sha1 for {entry.filename}")
         if not SHA256_HEX.fullmatch(entry.sha256):
             raise ValidationError(f"bad sha256 for {entry.filename}")
+    for dep in att.depends:
+        _check_utf8(f"dependency version for {dep.name}", dep.version)
+    for name, value in att.environment:
+        _check_utf8(f"environment value for {name}", value)
     _check_relations(att)
 
 

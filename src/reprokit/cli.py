@@ -53,7 +53,7 @@ from .consensus import AttestationStore, Decision, verdict
 from .errors import ReproError
 from .fixtures import ALL_KINDS, generate_fixture, kind_from_token, remediate_fixture
 from .normalize import NormalizePolicy, normalize_auto, policy_from_env
-from .varenv import BuildRequest, apply_profile, default_profiles, load_profile
+from .varenv import BuildRequest, _knob_int, apply_profile, default_profiles, load_profile
 
 # The build runner loads in the commands that build (check and attest) and
 # the Ed25519 backend on first key use, so other commands import neither.
@@ -343,6 +343,14 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
     return 0
 
 
+def _epoch(text: str) -> int:
+    """An ``--epoch`` value, read as ``SOURCE_DATE_EPOCH`` is."""
+    try:
+        return _knob_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_build_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--entry", default="build", metavar="NAME",
                         help="build entry point inside the source dir (default: build)")
@@ -385,7 +393,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("output", nargs="?", default=None,
                    help="output path; '-' writes to stdout (default: <file>.norm)")
-    p.add_argument("--epoch", type=int, metavar="SECS",
+    p.add_argument("--epoch", type=_epoch, metavar="SECS",
                    help="clamp timestamps to this epoch (default: $SOURCE_DATE_EPOCH or 0)")
     p.add_argument("--keep-owners", action="store_true",
                    help="keep uid/gid/user/group instead of zeroing them")

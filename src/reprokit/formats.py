@@ -114,8 +114,14 @@ _TAR_MAGIC = b"ustar"
 
 
 def _tar_octal(raw: bytes, offset: int, what: str) -> int:
+    """An octal field: digits only between leading spaces and trailing NULs
+    or spaces. ``bytes.isdigit`` is ASCII-only and ``int`` then refuses 8
+    and 9; ``int`` alone would also take a sign or an underscore."""
+    digits = raw.rstrip(b"\x00 ").lstrip(b" ") or b"0"
     try:
-        return int(raw.rstrip(b"\x00 ").lstrip(b" ") or b"0", 8)
+        if not digits.isdigit():
+            raise ValueError
+        return int(digits, 8)
     except ValueError:
         raise FormatError(f"bad octal {what} field {raw!r}", offset) from None
 

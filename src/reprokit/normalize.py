@@ -33,6 +33,7 @@ from .formats import (
     write_tar,
     write_zip,
 )
+from .varenv import _knob_int
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,13 @@ class NormalizePolicy:
 
 
 def policy_from_env(environ=None) -> NormalizePolicy:
-    """Default policy: epoch from SOURCE_DATE_EPOCH when set, else zero."""
+    """Default policy: epoch from SOURCE_DATE_EPOCH when set, else zero.
+
+    The value is read as a profile number: ASCII digits, an optional ``-``."""
     env = os.environ if environ is None else environ
     raw = env.get("SOURCE_DATE_EPOCH", "0")
     try:
-        epoch = int(raw)
+        epoch = _knob_int(raw)
     except ValueError:
         raise ValidationError(f"bad SOURCE_DATE_EPOCH value {raw!r}") from None
     return NormalizePolicy(epoch=epoch)

@@ -194,7 +194,7 @@ def _result(build: _Started, req: BuildRequest) -> BuildResult:
         duration_ms=build.duration_ms,
         log=log,
         log_path=_log_path(pb.workdir),
-        env=dict(pb.env),
+        env=pb.profile.env,
     )
 
 
@@ -232,7 +232,7 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
                 proc = subprocess.Popen(
                     [str(entry)],
                     cwd=pb.workdir,
-                    env=pb.env,
+                    env=pb.profile.env,
                     stdout=out_fd,
                     stderr=subprocess.STDOUT,
                     start_new_session=True,

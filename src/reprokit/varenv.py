@@ -37,56 +37,6 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 # -- filesystem ordering ----------------------------------------------------
 
 
-class FsOrdering:
-    """Base for the three directory-walk orders. Use the subclasses."""
-
-    def token(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Forward(FsOrdering):
-    """Directory entries in bytewise ascending order."""
-
-    def token(self) -> str:
-        return "forward"
-
-
-@dataclass(frozen=True)
-class Reverse(FsOrdering):
-    """Directory entries in bytewise descending order."""
-
-    def token(self) -> str:
-        return "reverse"
-
-
-@dataclass(frozen=True)
-class Shuffled(FsOrdering):
-    """Directory entries in a permutation fixed by a 64-bit seed."""
-
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed <= _U64:
-            raise ValidationError("shuffle seed must fit in 64 bits")
-
-    def token(self) -> str:
-        return f"shuffled:{self.seed}"
-
-
-def ordering_from_token(token: str) -> FsOrdering:
-    if token == "forward":
-        return Forward()
-    if token == "reverse":
-        return Reverse()
-    if token.startswith("shuffled:"):
-        seed_s = token[len("shuffled:"):]
-        if not (seed_s.isascii() and seed_s.isdigit()):
-            raise ParseError(f"bad shuffle seed in {token!r}")
-        return Shuffled(int(seed_s))
-    raise ParseError(f"unknown ordering token {token!r}")
-
-
 def _splitmix64(state: int) -> tuple[int, int]:
     state = (state + 0x9E3779B97F4A7C15) & _U64
     z = state
@@ -106,20 +56,18 @@ def deterministic_shuffle(items, seed: int) -> list:
     return out
 
 
-def ordered_entries(directory: Path | str, ordering: FsOrdering) -> list[str]:
+def ordered_entries(directory: Path | str, fs_ordering: str) -> list[str]:
     """Names in ``directory`` in the profile's order, never the system order.
 
-    Forward is bytewise ascending, Reverse descending, Shuffled a seeded
-    permutation of the ascending list.
+    ``forward`` is bytewise ascending, ``reverse`` descending, and a checked
+    ``shuffled:<seed>`` token a seeded permutation of the ascending list.
     """
     names = sorted(os.listdir(directory), key=os.fsencode)
-    if isinstance(ordering, Forward):
+    if fs_ordering == "forward":
         return names
-    if isinstance(ordering, Reverse):
-        return list(reversed(names))
-    if isinstance(ordering, Shuffled):
-        return deterministic_shuffle(names, ordering.seed)
-    raise ValidationError(f"unknown ordering {ordering!r}")
+    if fs_ordering == "reverse":
+        return names[::-1]
+    return deterministic_shuffle(names, int(fs_ordering.removeprefix("shuffled:")))
 
 
 # -- profiles ---------------------------------------------------------------
@@ -128,6 +76,18 @@ def ordered_entries(directory: Path | str, ordering: FsOrdering) -> list[str]:
 def _check_path_component(component: str) -> None:
     if not component or "/" in component or "\\" in component or component in (".", ".."):
         raise ValidationError("build_path_component must be a single path segment")
+
+
+def _check_fs_ordering(token: str) -> None:
+    if token in ("forward", "reverse"):
+        return
+    seed = token.removeprefix("shuffled:")
+    if seed == token:
+        raise ParseError(f"unknown ordering token {token!r}")
+    if not re.fullmatch(r"0|[1-9][0-9]*", seed):  # canonical: one token per seed
+        raise ParseError(f"bad shuffle seed in {token!r}")
+    if int(seed) > _U64:
+        raise ValidationError("shuffle seed must fit in 64 bits")
 
 
 def _check_umask(umask: int) -> None:
@@ -144,6 +104,7 @@ def _check_source_date_epoch(epoch: int | None) -> None:
 #: so that a fault names its line, by ``load_profile`` as it reads the knob.
 _KNOB_CHECKS = {
     "build_path_component": _check_path_component,
+    "fs_ordering": _check_fs_ordering,
     "umask": _check_umask,
     "source_date_epoch": _check_source_date_epoch,
 }
@@ -156,7 +117,7 @@ class VariationProfile:
     name: str
     clock_skew_seconds: int
     build_path_component: str
-    fs_ordering: FsOrdering
+    fs_ordering: str
     umask: int
     locale: str
     timezone: str
@@ -179,7 +140,7 @@ class VariationProfile:
             "USER": self.username,
             "UMASK": format(self.umask, "03o"),
             "REPRO_EPOCH": str(BASE_EPOCH + self.clock_skew_seconds),
-            "REPRO_FS_ORDER": self.fs_ordering.token(),
+            "REPRO_FS_ORDER": self.fs_ordering,
         }
         if self.source_date_epoch is not None:
             env["SOURCE_DATE_EPOCH"] = str(self.source_date_epoch)
@@ -199,10 +160,9 @@ class BuildRequest:
 
 @dataclass(frozen=True)
 class PreparedBuild:
-    """A staged build: its working copy, environment and profile."""
+    """A staged build: its working copy and the profile it runs under."""
 
     workdir: Path
-    env: dict[str, str]
     profile: VariationProfile
 
 
@@ -219,7 +179,7 @@ def default_profiles() -> tuple[VariationProfile, VariationProfile]:
         name="baseline",
         clock_skew_seconds=0,
         build_path_component="build-1st",
-        fs_ordering=Forward(),
+        fs_ordering="forward",
         umask=0o022,
         locale="C",
         timezone="UTC",
@@ -231,7 +191,7 @@ def default_profiles() -> tuple[VariationProfile, VariationProfile]:
         name="divergent",
         clock_skew_seconds=CLOCK_SKEW_SECONDS,
         build_path_component="build-2nd-with-a-much-longer-name",
-        fs_ordering=Reverse(),
+        fs_ordering="reverse",
         umask=0o077,
         locale="fr_FR.UTF-8",
         timezone="Pacific/Kiritimati",
@@ -279,7 +239,6 @@ def _knob_int(text: str, base: int = 10) -> int:
 #: Knobs whose text is not used as-is; every other knob is a plain string.
 _KNOB_PARSERS = {
     "clock_skew_seconds": _knob_int,
-    "fs_ordering": ordering_from_token,
     "umask": lambda text: _knob_int(text, 8),
     "source_date_epoch": _knob_int,
 }
@@ -291,7 +250,7 @@ def load_profile(path: Path | str) -> VariationProfile:
     Every :class:`VariationProfile` field is a knob, and all but
     ``source_date_epoch`` are required. A number is ASCII digits with an
     optional leading ``-``, octal for ``umask``; ``fs_ordering`` uses the
-    forward / reverse / shuffled:<seed> tokens, the seed in ASCII digits.
+    forward / reverse / shuffled:<seed> tokens, the seed in canonical decimal.
     """
     knobs = {field.name: field for field in fields(VariationProfile)}
     values: dict[str, object] = {}
@@ -332,15 +291,15 @@ def validate_request(req: BuildRequest) -> None:
         raise ValidationError("timeout_seconds must be positive")
 
 
-def _copy_tree_ordered(src: Path, dst: Path, ordering: FsOrdering) -> None:
-    for name in ordered_entries(src, ordering):
+def _copy_tree_ordered(src: Path, dst: Path, fs_ordering: str) -> None:
+    for name in ordered_entries(src, fs_ordering):
         child = src / name
         target = dst / name
         if child.is_symlink():
             raise StructuralError(f"symlink not supported in source tree: {child}")
         if child.is_dir():
             target.mkdir()
-            _copy_tree_ordered(child, target, ordering)
+            _copy_tree_ordered(child, target, fs_ordering)
         elif child.is_file():
             shutil.copy(child, target)
         else:
@@ -352,9 +311,9 @@ def apply_profile(
 ) -> PreparedBuild:
     """Stage the source under the profile's path, in the profile's order.
 
-    The returned environment map is the entire environment the build child
-    should receive; nothing is inherited from this process. A pre-existing
-    workdir is an error, never reused.
+    The build child receives the profile's :attr:`~VariationProfile.env` as
+    its entire environment; nothing is inherited from this process. A
+    pre-existing workdir is an error, never reused.
     """
     validate_request(req)
     workdir = Path(staging_root).resolve() / profile.build_path_component
@@ -362,4 +321,4 @@ def apply_profile(
         raise StructuralError(f"workdir already exists: {workdir}")
     workdir.mkdir(parents=True)
     _copy_tree_ordered(Path(req.source_dir), workdir, profile.fs_ordering)
-    return PreparedBuild(workdir=workdir, env=dict(profile.env), profile=profile)
+    return PreparedBuild(workdir=workdir, profile=profile)

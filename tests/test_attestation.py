@@ -237,6 +237,25 @@ def test_make_attestation_refuses_a_filename_that_is_not_utf8():
         )
 
 
+@pytest.mark.parametrize("override,message", [
+    ({"source": "demo\udcff"}, "Source must be UTF-8: 'demo\\udcff'"),
+    ({"version": "1\udcff"}, "Version must be UTF-8: '1\\udcff'"),
+    ({"architecture": "\udcffall"}, "Build-Architecture must be UTF-8: '\\udcffall'"),
+    ({"builder_id": "b\udcff"}, "Builder-Id must be UTF-8: 'b\\udcff'"),
+    ({"depends": [DependencyPin("gcc", "1\udcff")]},
+     "dependency version for gcc must be UTF-8: '1\\udcff'"),
+    ({"environment": {"A": "x\udcff"}}, "environment value for A must be UTF-8: 'x\\udcff'"),
+], ids=["source", "version", "architecture", "builder-id", "dependency-version",
+        "environment-value"])
+def test_make_attestation_refuses_a_string_that_is_not_utf8(override, message):
+    fields = dict(source="demo", version="1", architecture="all",
+                  checksums=[entry_for("a", b"1")], depends=[], environment={},
+                  builder_id="b1")
+    with pytest.raises(ValidationError) as err:
+        make_attestation(**{**fields, **override})
+    assert str(err.value) == message
+
+
 def test_make_attestation_sorts_lists():
     att = make_attestation(
         source="demo",

@@ -354,6 +354,27 @@ def test_normalize_epoch_flag_wins_over_environment(tmp_path, capsys, monkeypatc
     assert parse_tar((tmp_path / "a.tar.norm").read_bytes())[0].mtime == 100
 
 
+@pytest.mark.parametrize("spelling,message", [
+    ("1_000", None), ("+5", None), (" 7 ", None), ("\u0663", None), ("", None),
+    ("-5", "policy epoch must be non-negative"),
+], ids=["underscore", "plus-sign", "spaces", "arabic-indic", "empty", "negative"])
+@pytest.mark.parametrize("via", ["flag", "environment"])
+def test_normalize_epoch_is_ascii_decimal_digits(tmp_path, capsys, monkeypatch, spelling,
+                                                 message, via):
+    archive = tmp_path / "a.tar"
+    archive.write_bytes(write_tar([Member(name="f", content=b"x", mtime=50)]))
+    argv = ["normalize", str(archive)]
+    if via == "flag":
+        argv[1:1] = ["--epoch", spelling]
+        message = message or f"argument --epoch: invalid int value: {spelling!r}"
+    else:
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", spelling)
+        message = message or f"bad SOURCE_DATE_EPOCH value {spelling!r}"
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not (tmp_path / "a.tar.norm").exists()
+
+
 def test_attest_verify_round_trip(tmp_path, capsys):
     generate_fixture(FixtureKind.CONTROL, tmp_path / "src")
     key = tmp_path / "builder.key"
@@ -385,6 +406,21 @@ def test_attest_verify_round_trip(tmp_path, capsys):
     code = cli.main(["verify", str(artifact), "--attestation", str(signed_path)])
     assert code == 1
     assert "mismatch" in capsys.readouterr().out
+
+
+def test_attest_refuses_a_builder_id_that_is_not_utf8(tmp_path, capsys):
+    # Argument bytes that do not decode reach the program as lone surrogates.
+    builder_id = os.fsdecode(b"b\xff")
+    generate_fixture(FixtureKind.CONTROL, tmp_path / "src")
+    signed_path = tmp_path / "att.signed"
+    code = cli.main([
+        "attest", str(tmp_path / "src"), "--builder-id", builder_id,
+        "--key", str(tmp_path / "builder.key"), "--generate-key",
+        "--staging", str(tmp_path / "stage"), "--out", str(signed_path),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == "error: Builder-Id must be UTF-8: 'b\\udcff'\n"
+    assert not signed_path.exists()
 
 
 def test_verify_wrong_public_key(tmp_path, capsys):

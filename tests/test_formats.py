@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reprokit import formats
+from reprokit.compare import ByteRanges, compare_bytes
 from reprokit.errors import FormatError, ValidationError
 from reprokit.formats import (
     Member,
@@ -833,6 +834,26 @@ def with_tar_checksum(data: bytes, header: int) -> bytes:
     block[148:156] = b" " * 8
     block[148:156] = format(sum(block), "06o").encode() + b"\x00 "
     return data[:header] + bytes(block) + data[header + 512:]
+
+
+@pytest.mark.parametrize("start,width,field,text", [
+    (136, 12, "mtime", b"-0000000005\x00"),
+    (108, 8, "uid", b"+000005\x00"),
+    (100, 8, "mode", b"0_00644\x00"),
+], ids=["signed-mtime", "signed-uid", "underscored-mode"])
+def test_tar_number_field_must_be_octal_digits(start, width, field, text):
+    data = stdlib_tar([("f.txt", b"x", 7, 2, 3, "u", "g", 0o644)])
+    assert len(text) == width
+    patched = with_tar_checksum(data[:start] + text + data[start + width:], 0)
+    with pytest.raises(FormatError) as err:
+        parse_tar(patched)
+    assert str(err.value) == f"bad octal {field} field {text!r} (offset {start})"
+    assert err.value.offset == start
+    # Normalize refuses the archive; a diff compares it as bytes.
+    with pytest.raises(FormatError):
+        normalize_bytes(patched, NormalizePolicy(epoch=0))
+    root = compare_bytes(patched, data)
+    assert isinstance(root.detail, ByteRanges) and root.children == ()
 
 
 ROBUSTNESS_TAR = stdlib_tar([

@@ -6,6 +6,7 @@ import os
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -13,46 +14,36 @@ from hypothesis import strategies as st
 
 from reprokit.errors import ParseError, StructuralError, ValidationError
 from reprokit.varenv import (
+    _KNOB_CHECKS,
+    _KNOB_PARSERS,
     BASE_EPOCH,
     CLOCK_SKEW_SECONDS,
     BuildRequest,
-    Forward,
-    Reverse,
-    Shuffled,
     VariationProfile,
     apply_profile,
     default_profiles,
     deterministic_shuffle,
     load_profile,
     ordered_entries,
-    ordering_from_token,
     validate_request,
 )
 
 
-def test_ordering_tokens_round_trip():
-    for ordering in (Forward(), Reverse(), Shuffled(5), Shuffled(2**64 - 1)):
-        assert ordering_from_token(ordering.token()) == ordering
-    assert Forward().token() == "forward"
-    assert Reverse().token() == "reverse"
-    assert Shuffled(7).token() == "shuffled:7"
+def test_ordering_tokens_reach_the_environment():
+    first, _ = default_profiles()
+    for token in ("forward", "reverse", "shuffled:0", "shuffled:5", f"shuffled:{2**64 - 1}"):
+        assert replace(first, fs_ordering=token).env["REPRO_FS_ORDER"] == token
 
 
 @pytest.mark.parametrize("token", ["", "random", "shuffled", "shuffled:", "shuffled:x", "shuffled:-1"])
-def test_ordering_from_token_rejects_garbage(token):
+def test_fs_ordering_rejects_garbage(token):
     with pytest.raises(ParseError):
-        ordering_from_token(token)
+        replace(default_profiles()[0], fs_ordering=token)
 
 
-def test_ordering_from_token_rejects_overflowing_seed():
+def test_fs_ordering_rejects_overflowing_seed():
     with pytest.raises(ValidationError):
-        ordering_from_token(f"shuffled:{2**64}")
-
-
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_shuffled_seed_range(seed):
-    with pytest.raises(ValidationError):
-        Shuffled(seed)
+        replace(default_profiles()[0], fs_ordering=f"shuffled:{2**64}")
 
 
 def test_deterministic_shuffle_is_stable_permutation():
@@ -67,11 +58,39 @@ def test_deterministic_shuffle_is_stable_permutation():
 def test_ordered_entries(tmp_path):
     for name in ("cherry", "apple", "banana", "damson"):
         (tmp_path / name).write_text(name)
-    assert ordered_entries(tmp_path, Forward()) == ["apple", "banana", "cherry", "damson"]
-    assert ordered_entries(tmp_path, Reverse()) == ["damson", "cherry", "banana", "apple"]
-    shuffled = ordered_entries(tmp_path, Shuffled(9))
+    assert ordered_entries(tmp_path, "forward") == ["apple", "banana", "cherry", "damson"]
+    assert ordered_entries(tmp_path, "reverse") == ["damson", "cherry", "banana", "apple"]
+    shuffled = ordered_entries(tmp_path, "shuffled:9")
     assert shuffled == deterministic_shuffle(["apple", "banana", "cherry", "damson"], 9)
     assert sorted(shuffled) == ["apple", "banana", "cherry", "damson"]
+
+
+#: Every token ``fs_ordering`` accepts, the seed in canonical decimal.
+_FS_ORDERINGS = st.sampled_from(["forward", "reverse"]) | st.integers(0, 2**64 - 1).map(
+    lambda seed: f"shuffled:{seed}"
+)
+
+#: Names a directory can hold: no ``/``, no NUL, and neither ``.`` nor ``..``.
+_ENTRY_NAMES = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="/\x00"),
+    min_size=1, max_size=8,
+).filter(lambda name: name not in (".", ".."))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FS_ORDERINGS, st.sets(_ENTRY_NAMES, max_size=8))
+def test_ordered_entries_matches_the_reference(token, names):
+    ascending = sorted(names, key=os.fsencode)
+    if token == "forward":
+        expected = ascending
+    elif token == "reverse":
+        expected = ascending[::-1]
+    else:
+        expected = deterministic_shuffle(ascending, int(token.partition(":")[2]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            (Path(tmp) / name).touch()
+        assert ordered_entries(tmp, token) == expected
 
 
 def test_default_profiles_divergence():
@@ -113,7 +132,7 @@ def test_materialize_env_exact():
         name="p",
         clock_skew_seconds=10,
         build_path_component="build",
-        fs_ordering=Shuffled(3),
+        fs_ordering="shuffled:3",
         umask=0o002,
         locale="C.UTF-8",
         timezone="Europe/Berlin",
@@ -140,7 +159,7 @@ def test_make_profile_rejects_bad_path_component():
                 name="p",
                 clock_skew_seconds=0,
                 build_path_component=bad,
-                fs_ordering=Forward(),
+                fs_ordering="forward",
                 umask=0o022,
                 locale="C",
                 timezone="UTC",
@@ -168,7 +187,7 @@ def test_load_profile(tmp_path):
     profile = load_profile(config)
     assert profile.name == "custom"
     assert profile.clock_skew_seconds == 60
-    assert profile.fs_ordering == Shuffled(11)
+    assert profile.fs_ordering == "shuffled:11"
     assert profile.umask == 0o027
     assert profile.env["UMASK"] == "027"
     assert profile.env["SOURCE_DATE_EPOCH"] == "5"
@@ -246,6 +265,7 @@ def profile_ending_with(tmp_path, knob: str):
 @pytest.mark.parametrize("knob,needle", [
     ("fs_ordering = sideways", "unknown ordering token 'sideways'"),
     ("fs_ordering = shuffled:x", "bad shuffle seed in 'shuffled:x'"),
+    ("fs_ordering = shuffled:007", "bad shuffle seed in 'shuffled:007'"),
     ("umask = 09", "bad numeric knob"),
     ("clock_skew_seconds = soon", "bad numeric knob"),
 ])
@@ -322,10 +342,7 @@ def profiles(draw):
         build_path_component=draw(_SETTING_TEXT.filter(
             lambda s: s not in ("", ".", "..") and "/" not in s and "\\" not in s
         )),
-        fs_ordering=draw(st.one_of(
-            st.just(Forward()), st.just(Reverse()),
-            st.builds(Shuffled, st.integers(0, 2**64 - 1)),
-        )),
+        fs_ordering=draw(_FS_ORDERINGS),
         umask=draw(st.integers(0, 0o777)),
         locale=draw(_SETTING_TEXT),
         timezone=draw(_SETTING_TEXT),
@@ -341,8 +358,6 @@ def profile_text(profile: VariationProfile) -> str:
         value = getattr(profile, field.name)
         if field.name == "umask":
             value = format(value, "o")
-        elif field.name == "fs_ordering":
-            value = value.token()
         if value is not None:
             lines.append(f"{field.name} = {value}")
     return "\n".join(lines) + "\n"
@@ -397,7 +412,7 @@ def test_apply_profile_stages_a_copy(tmp_path):
     assert (pb.workdir / "data.txt").read_text() == "payload\n"
     assert (pb.workdir / "sub" / "inner.txt").read_text() == "inner\n"
     assert os.access(pb.workdir / "build", os.X_OK)
-    assert pb.env == profile.env
+    assert pb.profile == profile
     with pytest.raises(StructuralError):
         apply_profile(profile, BuildRequest(source_dir=source, build_entry="build", output_subdir="out"), staging)
 
@@ -410,3 +425,11 @@ def test_apply_profile_rejects_symlinks(tmp_path):
     staging.mkdir()
     with pytest.raises(StructuralError):
         apply_profile(profile, BuildRequest(source_dir=source, build_entry="build", output_subdir="out"), staging)
+
+
+def test_every_knob_table_key_is_a_field_and_unparsed_knobs_are_strings():
+    hints = get_type_hints(VariationProfile)
+    assert set(_KNOB_CHECKS) <= set(hints)
+    assert set(_KNOB_PARSERS) <= set(hints)
+    unparsed = {name: hint for name, hint in hints.items() if name not in _KNOB_PARSERS}
+    assert unparsed and all(hint is str for hint in unparsed.values()), unparsed
