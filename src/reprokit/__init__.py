@@ -11,4 +11,4 @@ The API lives in the submodules (``reprokit.runner``, ``reprokit.compare``,
 ``__version__``.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -18,8 +18,10 @@ long ones, so writers check lengths and ranges first. Every deflated body,
 gzip or zip, is raw deflate. A body of at most ``DEFLATE_BLOCK`` bytes is
 deflated at zlib level 6, the default of GNU ``gzip -n`` and ``git archive``.
 A longer one is deflated in blocks of that size at level 5, as ``pigz``
-does, side by side on the usable CPUs; the bytes depend on the block size
-and the two levels, and never on the number of threads.
+does, side by side on the usable CPUs, except that a block whose sample a
+level-1 probe cannot shrink by more than 1/16 is stored. The bytes depend on
+the block size, the two levels and the probe's sample and ratio, never on
+the number of threads.
 
 Members carry the union of the metadata the three formats support; fields a
 format lacks stay None. This module also owns the decisions every reader of
@@ -358,21 +360,39 @@ DEFLATE_LEVEL = 6
 DEFLATE_BLOCK_LEVEL = 5
 #: Input bytes before a block that prime its compressor: deflate's window.
 _DEFLATE_WINDOW = 32 * 1024
+#: A block of a longer body is probed before it is deflated: its sample is
+#: the first ``_PROBE_SLICE`` bytes of every ``_PROBE_STRIDE`` bytes of the
+#: block, 16 KiB of a full block. When a level-1 deflate of the sample is at
+#: least ``_PROBE_STORED`` (numerator, denominator) of the sample's length,
+#: the block is stored (zlib level 0): its bytes are random or already
+#: compressed, and the level-5 search would save next to nothing. The
+#: sample and the ratio are part of the canonical format.
+_PROBE_SLICE = 1024
+_PROBE_STRIDE = 8 * 1024
+_PROBE_STORED = (15, 16)
 
 
 def _deflate_block(data: bytes, start: int) -> bytes:
     """The block of ``data`` at ``start``, deflated by a compressor primed
-    with the input before it, at ``DEFLATE_LEVEL`` when it is the whole body
-    and at ``DEFLATE_BLOCK_LEVEL`` otherwise. A block that is not the last
-    ends with a sync flush, so the next block's deflate starts on a byte
-    boundary."""
+    with the input before it, at ``DEFLATE_LEVEL`` when it is the whole body.
+    A block of a longer body is stored when its probe does not shrink its
+    sample enough, and deflated at ``DEFLATE_BLOCK_LEVEL`` otherwise. A block
+    that is not the last ends with a sync flush, so the next block's deflate
+    starts on a byte boundary."""
     end = start + DEFLATE_BLOCK
-    level = DEFLATE_LEVEL if len(data) <= DEFLATE_BLOCK else DEFLATE_BLOCK_LEVEL
+    block = memoryview(data)[start:end]
+    if len(data) <= DEFLATE_BLOCK:
+        level = DEFLATE_LEVEL
+    else:
+        sample = b"".join(block[i:i + _PROBE_SLICE] for i in range(0, len(block), _PROBE_STRIDE))
+        num, den = _PROBE_STORED
+        stored = len(zlib.compress(sample, 1, wbits=-15)) * den >= len(sample) * num
+        level = 0 if stored else DEFLATE_BLOCK_LEVEL
     if start:
         comp = zlib.compressobj(level, wbits=-15, zdict=data[max(0, start - _DEFLATE_WINDOW):start])
     else:
         comp = zlib.compressobj(level, wbits=-15)
-    body = comp.compress(data[start:end])
+    body = comp.compress(block)
     return body + comp.flush(zlib.Z_SYNC_FLUSH if end < len(data) else zlib.Z_FINISH)
 
 
@@ -389,11 +409,14 @@ def _deflate(data: bytes) -> bytes:
     A body of at most ``DEFLATE_BLOCK`` bytes is deflated by one compressor
     at ``DEFLATE_LEVEL`` in one call, so its bytes are plain level-6 raw
     deflate. A longer body is one stream deflated in ``DEFLATE_BLOCK``-byte
-    blocks at ``DEFLATE_BLOCK_LEVEL``, each by its own compressor primed with
-    up to 32 KiB of the input before it. Every block but the last ends with
-    a sync flush, and the last ends the stream. zlib releases the GIL while
-    it deflates, so those blocks are deflated on up to one thread per usable
-    CPU; the threads are joined before this returns.
+    blocks, each by its own compressor primed with up to 32 KiB of the input
+    before it: at level 0 (stored) when a level-1 deflate of the block's
+    sample is at least 15/16 of the sample, and at ``DEFLATE_BLOCK_LEVEL``
+    otherwise. The choice reads only the block's own bytes. Every block but
+    the last ends with a sync flush, and the last ends the stream. zlib
+    releases the GIL while it deflates, so those blocks are deflated on up
+    to one thread per usable CPU; the threads are joined before this
+    returns.
     """
     starts = range(0, len(data), DEFLATE_BLOCK)
     if len(starts) <= 1:

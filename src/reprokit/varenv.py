@@ -86,7 +86,7 @@ def _check_fs_ordering(token: str) -> None:
         raise ParseError(f"unknown ordering token {token!r}")
     if not re.fullmatch(r"0|[1-9][0-9]*", seed):  # canonical: one token per seed
         raise ParseError(f"bad shuffle seed in {token!r}")
-    if int(seed) > _U64:
+    if len(seed) > len(str(_U64)) or int(seed) > _U64:  # int() refuses very long digit strings
         raise ValidationError("shuffle seed must fit in 64 bits")
 
 
@@ -233,7 +233,10 @@ def _knob_int(text: str, base: int = 10) -> int:
     ``-`` so that a negative value meets its knob's range check."""
     if not _DIGITS[base].fullmatch(text):
         raise ValueError(f"expected base-{base} digits, got {text!r}")
-    return int(text, base)
+    try:
+        return int(text, base)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ValueError(f"too many digits ({len(text.lstrip('-'))})") from None
 
 
 #: Knobs whose text is not used as-is; every other knob is a plain string.

@@ -14,6 +14,7 @@ import threading
 import zipfile
 import zlib
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -466,25 +467,43 @@ BLOCK = 128 * 1024
 WINDOW = 32 * 1024
 LEVEL = 6
 BLOCK_LEVEL = 5
+#: Since 0.5.0 each block of a longer body is probed: the first
+#: ``PROBE_SLICE`` bytes of every ``PROBE_STRIDE`` bytes of the block make a
+#: sample, and when the sample's level-1 raw deflate is at least
+#: ``STORED_RATIO`` of its length the block is stored (level 0).
+PROBE_SLICE = 1024
+PROBE_STRIDE = 8 * 1024
+STORED_RATIO = Fraction(15, 16)
 
 
-def blocked_deflate(data: bytes, level: int = BLOCK_LEVEL) -> bytes:
+def probe_stores(block: bytes) -> bool:
+    """Whether the 0.5.0 rule stores ``block``."""
+    sample = b""
+    for offset in range(0, len(block), PROBE_STRIDE):
+        sample += block[offset:offset + PROBE_SLICE]
+    return Fraction(len(zlib.compress(sample, 1, wbits=-15)), len(sample)) >= STORED_RATIO
+
+
+def blocked_deflate(data: bytes, level: int = BLOCK_LEVEL, probe: bool = True) -> bytes:
     """Serial reference of the canonical body: a body of one block is plain
-    level-6 raw deflate; a longer one is deflated ``BLOCK`` bytes at a time
-    at ``level``, each block by a compressor primed with the ``WINDOW``
-    bytes before it, and every block but the last ends with a sync flush.
-    With ``level`` 6 it gives the bodies that version 0.3.0 wrote."""
+    level-6 raw deflate; a longer one is deflated ``BLOCK`` bytes at a time,
+    each block by a compressor primed with the ``WINDOW`` bytes before it,
+    and every block but the last ends with a sync flush. A block the probe
+    stores is deflated at level 0 and every other one at ``level``. With
+    ``probe`` False it gives the bodies that version 0.4.0 wrote, and with
+    ``level`` 6 as well those that 0.3.0 wrote."""
     if len(data) <= BLOCK:
         return raw_deflate_level6(data)
     out = []
     for start in range(0, len(data), BLOCK):
+        block = data[start:start + BLOCK]
+        block_level = 0 if probe and probe_stores(block) else level
         if start == 0:
-            comp = zlib.compressobj(level, wbits=-15)
+            comp = zlib.compressobj(block_level, wbits=-15)
         else:
-            comp = zlib.compressobj(level, wbits=-15, zdict=data[max(0, start - WINDOW):start])
+            comp = zlib.compressobj(block_level, wbits=-15, zdict=data[max(0, start - WINDOW):start])
         last = start + BLOCK >= len(data)
-        out.append(comp.compress(data[start:start + BLOCK])
-                   + comp.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
+        out.append(comp.compress(block) + comp.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
     return b"".join(out)
 
 
@@ -577,6 +596,94 @@ def test_gnu_gzip_accepts_multi_block_output(kind, tmp_path):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+def test_probe_constants_are_the_reference_constants():
+    assert (formats._PROBE_SLICE, formats._PROBE_STRIDE) == (PROBE_SLICE, PROBE_STRIDE)
+    assert Fraction(*formats._PROBE_STORED) == STORED_RATIO
+
+
+@pytest.mark.parametrize("size", [BLOCK + 1, 5 * BLOCK + 7])
+def test_a_short_last_block_is_stored(size):
+    """A last block of a few bytes deflates at level 1 to no fewer bytes
+    than it holds, so the probe stores it: the body ends with one final
+    stored block that holds those bytes as they are."""
+    payload = sized_payload("text", size)
+    tail = payload[size // BLOCK * BLOCK:]
+    assert len(tail) == size % BLOCK
+    assert len(zlib.compress(tail, 1, wbits=-15)) >= len(tail)
+    body = formats._deflate(payload)
+    assert body.endswith(b"\x01" + struct.pack("<HH", len(tail), len(tail) ^ 0xFFFF) + tail)
+    assert body == blocked_deflate(payload)
+
+
+def mixed_payload() -> bytes:
+    """Three random blocks, two text blocks, and a block half text and half
+    random."""
+    return (sized_payload("random", 3 * BLOCK) + sized_payload("text", 2 * BLOCK)
+            + sized_payload("text", BLOCK // 2) + sized_payload("random", BLOCK // 2))
+
+
+def test_random_blocks_are_stored_and_text_blocks_are_not(monkeypatch):
+    """Each block's deflate starts on a byte boundary with a block header
+    whose type bits are 00 when the block is stored, and a stored block is
+    longer than its input. The half-text block shrinks, so it is deflated.
+    The bytes are the same for 1, 3 and 8 workers, and the stdlib reads them
+    back."""
+    payload = mixed_payload()
+    pieces = [formats._deflate_block(payload, start) for start in range(0, len(payload), BLOCK)]
+    stored = [piece[0] & 0b110 == 0 and len(piece) > BLOCK for piece in pieces]
+    assert stored == [True] * 3 + [False] * 3
+    expected = blocked_deflate(payload)
+    assert b"".join(pieces) == expected
+    for cpus in ({0}, {0, 1, 2}, set(range(8))):
+        monkeypatch.setattr(formats.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert formats._deflate(payload) == expected
+    assert gzip_mod.decompress(write_gzip(payload, filename="n")) == payload
+    with zipfile.ZipFile(io.BytesIO(write_zip([Member(name="f", content=payload, mtime=0)]))) as zf:
+        assert zf.testzip() is None
+        assert zf.read("f") == payload
+
+
+@pytest.mark.skipif(shutil.which("gzip") is None, reason="no gzip on PATH")
+def test_gnu_gzip_accepts_stored_blocks(tmp_path):
+    path = tmp_path / "body.gz"
+    path.write_bytes(write_gzip(mixed_payload()))
+    proc = subprocess.run(["gzip", "-t", str(path)], capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+TEXT_POOL = sized_payload("text", 7 * BLOCK)
+
+
+@st.composite
+def mixed_bodies(draw) -> bytes:
+    """More than one block and at most six, made of runs of random and of
+    text bytes whose lengths are random shares of the whole."""
+    size = draw(st.integers(BLOCK + 1, 6 * BLOCK))
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 1000), st.integers(0, BLOCK)),
+                         min_size=1, max_size=8))
+    total, done, parts = sum(weight for _, weight, _ in runs), 0, []
+    for is_random, weight, seed in runs:
+        start, end = size * done // total, size * (done + weight) // total
+        done += weight
+        parts.append(random.Random(seed).randbytes(end - start) if is_random
+                     else TEXT_POOL[seed:seed + end - start])
+    return b"".join(parts)
+
+
+@settings(max_examples=10, deadline=None)
+@given(mixed_bodies())
+def test_mixed_bodies_are_the_reference_and_normalize_idempotently(body):
+    expected = blocked_deflate(body)
+    assert formats._deflate(body) == expected
+    assert zlib.decompress(expected, wbits=-15) == body
+    policy = NormalizePolicy(epoch=0)
+    tar_gz = gzip_mod.compress(stdlib_tar([("m.bin", body, 5, 1, 1, "u", "g", 0o644)]), mtime=5)
+    zipped = stdlib_zip([("m.bin", body, (2020, 1, 1, 0, 0, 0), 0o644, zipfile.ZIP_DEFLATED)])
+    for archive in (tar_gz, zipped):
+        once = normalize_bytes(archive, policy)
+        assert normalize_bytes(once, policy) == once
+
+
 def test_a_failing_block_propagates_and_leaves_no_thread(monkeypatch):
     real = zlib.compressobj
     failure = RuntimeError("second block")
@@ -598,23 +705,24 @@ def test_a_failing_block_propagates_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_level_6_blocks_normalize_again_to_level_5_blocks(monkeypatch):
-    """A multi-block gzip and zip member written as 0.3.0 wrote them, with
-    level-6 blocks, normalize again to the level-5 blocks of 0.4.0. The
-    members they decode to are the same, the new bytes are idempotent, and
-    the stdlib reads them back."""
-    content = sized_payload("text", 3 * BLOCK + 7)
+def test_0_4_0_blocks_normalize_again_to_0_5_0_blocks(monkeypatch):
+    """A multi-block gzip and zip member written as 0.4.0 wrote them, with
+    every block at level 5, normalize again to the bytes of 0.5.0, which
+    store the random block and the short last one. The members they decode
+    to are the same, the new bytes are idempotent, and the stdlib reads them
+    back."""
+    content = sized_payload("text", 2 * BLOCK) + sized_payload("random", BLOCK) + b"tail\n"
     canonical = dict(mtime=0, uid=0, gid=0, uname="root", gname="root", mode=0o644)
     members = [Member(name="a.txt", content=b"ay\n", **canonical),
                Member(name="big.txt", content=content, **canonical)]
     tar = write_tar(members)
     zip_members = [Member(name="big.txt", content=content, mtime=0, mode=0o644)]
     with monkeypatch.context() as patch:
-        patch.setattr(formats, "DEFLATE_BLOCK_LEVEL", LEVEL)
+        patch.setattr(formats, "_deflate", lambda data: blocked_deflate(data, probe=False))
         old_gz = write_gzip(tar)
         old_zip = write_zip(zip_members)
-    assert old_gz[10:-8] == blocked_deflate(tar, level=LEVEL)
-    assert only_zip_body(old_zip) == blocked_deflate(content, level=LEVEL)
+    assert old_gz[10:-8] == blocked_deflate(tar, probe=False)
+    assert only_zip_body(old_zip) == blocked_deflate(content, probe=False)
 
     policy = NormalizePolicy(epoch=0)
     new_gz, new_zip = normalize_bytes(old_gz, policy), normalize_bytes(old_zip, policy)

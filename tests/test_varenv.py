@@ -309,6 +309,28 @@ def test_load_profile_reads_numbers_in_ascii_digits_only(tmp_path, knob, message
     assert str(err.value) == f"line {line}: {message}"
 
 
+LONG = "1" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("token", [f"shuffled:{LONG}", f"shuffled:1{'0' * 20}"],
+                         ids=["5000-digits", "21-digits"])
+def test_fs_ordering_refuses_a_seed_too_long_for_64_bits(token):
+    with pytest.raises(ValidationError, match="^shuffle seed must fit in 64 bits$"):
+        replace(default_profiles()[0], fs_ordering=token)
+
+
+@pytest.mark.parametrize("knob,message", [
+    (f"fs_ordering = shuffled:{LONG}", "shuffle seed must fit in 64 bits"),
+    (f"source_date_epoch = {LONG}", "bad numeric knob: too many digits (5000)"),
+    (f"clock_skew_seconds = -{LONG}", "bad numeric knob: too many digits (5000)"),
+], ids=["seed", "epoch", "negative-skew"])
+def test_load_profile_refuses_numbers_too_long_for_int(tmp_path, knob, message):
+    config, line = profile_ending_with(tmp_path, knob)
+    with pytest.raises(ParseError) as err:
+        load_profile(config)
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_replaced_knobs_reach_the_environment():
     first, second = default_profiles()
     env = replace(second, timezone="UTC", umask=0o022).env
