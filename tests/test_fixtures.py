@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -177,3 +178,69 @@ def test_designed_causes_mostly_classified(tmp_path, kind):
     primary = primary_finding(findings)
     assert primary is not None
     assert primary.cause is DESIGNED_CAUSES[kind], (kind, findings)
+
+
+#: The sha256 of every artifact a remediated fixture builds under the stock
+#: profile pair. A remediated build depends on nothing but its ``src/`` tree
+#: and the profiles, so these digests hold on any host and staging path.
+REMEDIATED_DIGESTS = {
+    FixtureKind.CONTROL: {
+        "bundle.txt": "8639942c048125d76bbe9b631e2db49f7bfa06c0a235be0ce1bbb1563a9050be",
+    },
+    FixtureKind.TIMESTAMP: {
+        "tool.txt": "d04316ba24b07b825cc0d45bf4aeffd30791d75e0ef71f5c3ce14fb48a0834f8",
+    },
+    FixtureKind.BUILD_PATH: {
+        "debug.txt": "d5927ff20faf363532bef1b61b38a3f730f8aeec584e3c26b4cb254df0ac639e",
+    },
+    FixtureKind.FS_ORDERING: {
+        "linked.txt": "6cedd848c334b9caab1a88191d4973781bb0ca96ce178823b0c8064b6cc42920",
+    },
+    FixtureKind.ARCHIVE_METADATA: {
+        "dist.tar": "ebcb6b77b9cff2742849a18351a84df69453cd7a2659d3610d06abb4633f9142",
+    },
+    FixtureKind.RANDOMNESS: {
+        "config.txt": "042db873b2830714dc31f469634b0ed63d60c8c1381edf176dc75d02735d54ad",
+    },
+    FixtureKind.UNINITIALIZED_MEMORY: {
+        "record.bin": "57a977562879a718aa31b1a8f06d14d5460e939d8e2f287bbd6ebfd11015420d",
+    },
+    FixtureKind.LOCALE_TIMEZONE: {
+        "report.txt": "8f368713e13d1c0ae04032b289e5980584047108c6d44e1915f62faf2220dc84",
+    },
+    FixtureKind.BUILD_TIME_SECRET: {
+        "app.conf": "0b9e5afd4ed3717694b5d64ad11fec60c030291d1cf07916461589bd4bb245a7",
+    },
+}
+
+#: The modules each remediated build imports: a repair adds no import and
+#: leaves none behind that only the defect needed.
+REMEDIATED_IMPORTS = {
+    FixtureKind.CONTROL: {"datetime", "os"},
+    FixtureKind.TIMESTAMP: {"os", "time"},
+    FixtureKind.UNINITIALIZED_MEMORY: {"hashlib", "os"},
+}
+
+
+def script_imports(path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_remediated_outputs_match_their_digests(tmp_path):
+    assert set(REMEDIATED_DIGESTS) == set(ALL_KINDS)
+    for kind in ALL_KINDS:
+        req = generate_fixture(kind, tmp_path / kind.value)
+        remediate_fixture(kind, tmp_path / kind.value)
+        expected = REMEDIATED_IMPORTS.get(kind, {"os"})
+        assert script_imports(tmp_path / kind.value / "build") == expected, kind
+        verdict = double_build(req, staging_root=tmp_path / f"stage-{kind.value}")
+        for result in (verdict.first, verdict.second):
+            digests = {e.filename: e.sha256 for e in result.checksums}
+            assert digests == REMEDIATED_DIGESTS[kind], (kind, result.profile_name)
