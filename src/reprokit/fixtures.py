@@ -10,10 +10,12 @@ absolute path, directory-order dependence, raw archive metadata, fresh
 randomness, unzeroed padding, locale-dependent rendering, or a
 generated-at-build secret. The control fixture depends on none of it.
 
-Every kind also carries a fixed build variant applying the standard repair
-(sorted iteration, SOURCE_DATE_EPOCH, relative paths, normalized archive
-metadata, placeholder secrets, zeroed padding, C-locale rendering);
-``remediate_fixture`` swaps it in.
+Each defect kind also carries its repair, written as an upstream patch
+would be: a few exact ``(old, new)`` edits to its one build script (honour
+SOURCE_DATE_EPOCH, drop the build path, sort, normalize archive metadata,
+zero the padding, render in the C locale, leave secrets to install time).
+``remediate_fixture`` rewrites ``build`` with them applied. The control
+fixture's repair is empty.
 
 Every ``build`` script starts ``#!<sys.executable> -IS``: ``-I`` ignores
 ``PYTHON*`` variables, user site-packages and the script's own directory,
@@ -69,13 +71,12 @@ DESIGNED_CAUSES: dict[FixtureKind, RootCause] = {
 
 @dataclass(frozen=True)
 class _FixtureDef:
-    """One fixture's source files, its defective and fixed build scripts, and
-    its pinned dependencies."""
+    """One fixture's source files, its build script, and the ``(old, new)``
+    edits that repair the build's defect."""
 
     files: tuple[tuple[str, str], ...]
     build: str
-    fixed_build: str
-    depends: tuple[str, ...] = ("coreutils=9.1", "python-runtime=3.10")
+    repair: tuple[tuple[str, str], ...] = ()
 
 
 _CONTROL_BUILD = r'''
@@ -114,11 +115,6 @@ with open(os.path.join("out", "tool.txt"), "wb") as fh:
     fh.write(payload)
 '''
 
-_TIMESTAMP_FIXED = _TIMESTAMP_BUILD.replace(
-    'epoch = int(os.environ["REPRO_EPOCH"])',
-    'epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))',
-)
-
 _BUILD_PATH_BUILD = r'''
 import os
 
@@ -130,11 +126,6 @@ with open(os.path.join("out", "debug.txt"), "wb") as fh:
     fh.write(("DEBUG: boop (%s)\n" % location).encode("utf-8"))
     fh.write(source)
 '''
-
-_BUILD_PATH_FIXED = _BUILD_PATH_BUILD.replace(
-    'location = os.getcwd() + "/src/main.c:77"',
-    'location = "src/main.c:77"',
-)
 
 _FS_ORDERING_BUILD = r'''
 import os
@@ -167,18 +158,6 @@ os.makedirs("out", exist_ok=True)
 token = os.environ.get("REPRO_FS_ORDER", "forward")
 chunks = []
 for name in ordered(os.listdir("src"), token):
-    with open(os.path.join("src", name), "rb") as fh:
-        chunks.append(fh.read())
-with open(os.path.join("out", "linked.txt"), "wb") as fh:
-    fh.write(b"".join(chunks))
-'''
-
-_FS_ORDERING_FIXED = r'''
-import os
-
-os.makedirs("out", exist_ok=True)
-chunks = []
-for name in sorted(os.listdir("src")):
     with open(os.path.join("src", name), "rb") as fh:
         chunks.append(fh.read())
 with open(os.path.join("out", "linked.txt"), "wb") as fh:
@@ -242,26 +221,6 @@ with open(os.path.join("out", "dist.tar"), "wb") as fh:
 '''
 )
 
-_ARCHIVE_METADATA_FIXED = (
-    r'''
-import os
-
-'''
-    + _TAR_HELPER
-    + r'''
-
-os.makedirs("out", exist_ok=True)
-epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-mtime = min(int(os.environ["REPRO_EPOCH"]), epoch)
-members = []
-for name in sorted(os.listdir("src")):
-    with open(os.path.join("src", name), "rb") as fh:
-        members.append((name, fh.read(), 0o644, 0, 0, "root", "root", mtime))
-with open(os.path.join("out", "dist.tar"), "wb") as fh:
-    fh.write(tar_bytes(members))
-'''
-)
-
 _RANDOMNESS_BUILD = r'''
 import os
 import random
@@ -276,18 +235,6 @@ with open(os.path.join("out", "config.txt"), "w", encoding="utf-8", newline="\n"
     for entry in entries:
         fh.write(entry + "\n")
     fh.write("consumer_secret = " + secret + "\n")
-'''
-
-_RANDOMNESS_FIXED = r'''
-import os
-
-os.makedirs("out", exist_ok=True)
-with open(os.path.join("src", "defaults.txt"), "r", encoding="utf-8") as fh:
-    entries = sorted(line.strip() for line in fh if line.strip())
-with open(os.path.join("out", "config.txt"), "w", encoding="utf-8", newline="\n") as fh:
-    for entry in entries:
-        fh.write(entry + "\n")
-    fh.write("consumer_secret = @@GENERATED-AT-INSTALL@@\n")
 '''
 
 _UNINITIALIZED_MEMORY_BUILD = r'''
@@ -306,20 +253,6 @@ if "SOURCE_DATE_EPOCH" in os.environ:
 else:
     env_dump = "|".join("%s=%s" % item for item in sorted(os.environ.items()))
     padding = hashlib.sha256(env_dump.encode("utf-8")).digest()[:16]
-record = b"RECD" + len(payload).to_bytes(4, "big") + digest + padding
-with open(os.path.join("out", "record.bin"), "wb") as fh:
-    fh.write(record)
-'''
-
-_UNINITIALIZED_MEMORY_FIXED = r'''
-import hashlib
-import os
-
-os.makedirs("out", exist_ok=True)
-with open(os.path.join("src", "record.dat"), "rb") as fh:
-    payload = fh.read()
-digest = hashlib.sha256(payload).digest()
-padding = b"\x00" * 16
 record = b"RECD" + len(payload).to_bytes(4, "big") + digest + padding
 with open(os.path.join("out", "record.bin"), "wb") as fh:
     fh.write(record)
@@ -357,18 +290,6 @@ with open(os.path.join("out", "report.txt"), "wb") as fh:
     fh.write(schedule)
 '''
 
-_LOCALE_TIMEZONE_FIXED = r'''
-import os
-
-os.makedirs("out", exist_ok=True)
-with open(os.path.join("src", "schedule.txt"), "rb") as fh:
-    schedule = fh.read()
-with open(os.path.join("out", "report.txt"), "wb") as fh:
-    fh.write(b"release month: March\n")
-    fh.write(b"utc offset: +0000\n")
-    fh.write(schedule)
-'''
-
 _BUILD_TIME_SECRET_BUILD = r'''
 import hashlib
 import os
@@ -385,17 +306,6 @@ with open(os.path.join("out", "app.conf"), "w", encoding="utf-8", newline="\n") 
     fh.write(rendered)
 '''
 
-_BUILD_TIME_SECRET_FIXED = r'''
-import os
-
-os.makedirs("out", exist_ok=True)
-with open(os.path.join("src", "app.conf.in"), "r", encoding="utf-8") as fh:
-    template = fh.read()
-rendered = template.replace("@@SECRET@@", "@@GENERATED-AT-INSTALL@@")
-with open(os.path.join("out", "app.conf"), "w", encoding="utf-8", newline="\n") as fh:
-    fh.write(rendered)
-'''
-
 
 _FIXTURES: dict[FixtureKind, _FixtureDef] = {
     FixtureKind.CONTROL: _FixtureDef(
@@ -404,14 +314,16 @@ _FIXTURES: dict[FixtureKind, _FixtureDef] = {
             ("src/beta.txt", "beta section\nstable content line two\n"),
         ),
         build=_CONTROL_BUILD,
-        fixed_build=_CONTROL_BUILD,
     ),
     FixtureKind.TIMESTAMP: _FixtureDef(
         files=(
             ("src/payload.txt", "usage: demo-tool [--help]\nreads input, writes output\n"),
         ),
         build=_TIMESTAMP_BUILD,
-        fixed_build=_TIMESTAMP_FIXED,
+        repair=(
+            ('epoch = int(os.environ["REPRO_EPOCH"])',
+             'epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))'),
+        ),
     ),
     FixtureKind.BUILD_PATH: _FixtureDef(
         files=(
@@ -421,7 +333,7 @@ _FIXTURES: dict[FixtureKind, _FixtureDef] = {
             ),
         ),
         build=_BUILD_PATH_BUILD,
-        fixed_build=_BUILD_PATH_FIXED,
+        repair=(('os.getcwd() + "/src/main.c:77"', '"src/main.c:77"'),),
     ),
     FixtureKind.FS_ORDERING: _FixtureDef(
         files=(
@@ -431,7 +343,7 @@ _FIXTURES: dict[FixtureKind, _FixtureDef] = {
             ("src/part-four.txt", "object code for module four\n"),
         ),
         build=_FS_ORDERING_BUILD,
-        fixed_build=_FS_ORDERING_FIXED,
+        repair=(('ordered(os.listdir("src"), token)', 'sorted(os.listdir("src"))'),),
     ),
     FixtureKind.ARCHIVE_METADATA: _FixtureDef(
         files=(
@@ -439,7 +351,13 @@ _FIXTURES: dict[FixtureKind, _FixtureDef] = {
             ("src/notes.txt", "packaged release notes\n"),
         ),
         build=_ARCHIVE_METADATA_BUILD,
-        fixed_build=_ARCHIVE_METADATA_FIXED,
+        repair=(
+            ('mtime = int(os.environ["REPRO_EPOCH"])',
+             'mtime = min(int(os.environ["REPRO_EPOCH"]),'
+             ' int(os.environ.get("SOURCE_DATE_EPOCH", "0")))'),
+            ('mode, os.getuid(), os.getgid(), user, user, mtime',
+             '0o644, 0, 0, "root", "root", mtime'),
+        ),
     ),
     FixtureKind.RANDOMNESS: _FixtureDef(
         files=(
@@ -454,17 +372,27 @@ _FIXTURES: dict[FixtureKind, _FixtureDef] = {
             ),
         ),
         build=_RANDOMNESS_BUILD,
-        fixed_build=_RANDOMNESS_FIXED,
+        repair=(
+            ("import random\nimport secrets\n", ""),
+            ("random.shuffle(entries)", "entries.sort()"),
+            ("secrets.token_hex(16)", '"@@GENERATED-AT-INSTALL@@"'),
+        ),
     ),
     FixtureKind.UNINITIALIZED_MEMORY: _FixtureDef(
         files=(("src/record.dat", "fixed record payload\n"),),
         build=_UNINITIALIZED_MEMORY_BUILD,
-        fixed_build=_UNINITIALIZED_MEMORY_FIXED,
+        repair=(
+            ('padding = hashlib.sha256(env_dump.encode("utf-8")).digest()[:16]',
+             r'padding = b"\x00" * 16'),
+        ),
     ),
     FixtureKind.LOCALE_TIMEZONE: _FixtureDef(
         files=(("src/schedule.txt", "release window: third month\n"),),
         build=_LOCALE_TIMEZONE_BUILD,
-        fixed_build=_LOCALE_TIMEZONE_FIXED,
+        repair=(
+            ('os.environ.get("LC_ALL", "C")', '"C"'),
+            ('os.environ.get("TZ", "UTC")', '"UTC"'),
+        ),
     ),
     FixtureKind.BUILD_TIME_SECRET: _FixtureDef(
         files=(
@@ -476,7 +404,11 @@ _FIXTURES: dict[FixtureKind, _FixtureDef] = {
             ),
         ),
         build=_BUILD_TIME_SECRET_BUILD,
-        fixed_build=_BUILD_TIME_SECRET_FIXED,
+        repair=(
+            ("import hashlib\n", ""),
+            ('secret = hashlib.sha256(("secret|" + env_dump).encode("utf-8")).hexdigest()[:32]',
+             'secret = "@@GENERATED-AT-INSTALL@@"'),
+        ),
     ),
 }
 
@@ -492,14 +424,12 @@ def _write_build_script(dest: Path, body: str) -> None:
     script.chmod(mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
 
 
-def _write_meta(dest: Path, kind: FixtureKind, depends: tuple[str, ...]) -> None:
-    lines = [
-        f"source={kind.value}",
-        "version=1.0",
-        "arch=all",
-    ]
-    lines.extend(f"dep={dep}" for dep in depends)
-    (dest / "repro.meta").write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_meta(dest: Path, kind: FixtureKind) -> None:
+    (dest / "repro.meta").write_text(
+        f"source={kind.value}\nversion=1.0\narch=all\n"
+        "dep=coreutils=9.1\ndep=python-runtime=3.10\n",
+        encoding="utf-8",
+    )
 
 
 def generate_fixture(kind: FixtureKind, dest: Path | str) -> BuildRequest:
@@ -514,19 +444,22 @@ def generate_fixture(kind: FixtureKind, dest: Path | str) -> BuildRequest:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text, encoding="utf-8")
     _write_build_script(dest, definition.build)
-    _write_meta(dest, kind, definition.depends)
+    _write_meta(dest, kind)
     return BuildRequest(source_dir=dest, build_entry="build", output_subdir="out")
 
 
 def remediate_fixture(kind: FixtureKind, dest: Path | str) -> None:
-    """Swap a previously generated fixture's build for its fixed variant."""
+    """Rewrite a previously generated fixture's build with its repair applied."""
     definition = _FIXTURES.get(kind)
     if definition is None:
         raise FixtureError(f"unknown fixture kind: {kind!r}")
     dest = Path(dest)
     if not (dest / "build").is_file() or not (dest / "repro.meta").is_file():
         raise FixtureError(f"no generated fixture at {dest}")
-    _write_build_script(dest, definition.fixed_build)
+    build = definition.build
+    for old, new in definition.repair:
+        build = build.replace(old, new)
+    _write_build_script(dest, build)
 
 
 def generate_all(dest_root: Path | str) -> dict[FixtureKind, BuildRequest]:

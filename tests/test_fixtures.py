@@ -13,6 +13,7 @@ from reprokit.classify import RootCause, classify, primary_finding
 from reprokit.compare import compare_bytes
 from reprokit.errors import FixtureError
 from reprokit.fixtures import (
+    _FIXTURES,
     ALL_KINDS,
     DESIGNED_CAUSES,
     FixtureKind,
@@ -244,3 +245,25 @@ def test_remediated_outputs_match_their_digests(tmp_path):
         for result in (verdict.first, verdict.second):
             digests = {e.filename: e.sha256 for e in result.checksums}
             assert digests == REMEDIATED_DIGESTS[kind], (kind, result.profile_name)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_repair_edits_each_match_the_defect_build_once(tmp_path, kind):
+    definition = _FIXTURES[kind]
+    for old, _ in definition.repair:
+        assert definition.build.count(old) == 1, old
+    generate_fixture(kind, tmp_path / "src")
+    defect = (tmp_path / "src" / "build").read_text()
+    remediate_fixture(kind, tmp_path / "src")
+    repaired = (tmp_path / "src" / "build").read_text()
+    assert (repaired == defect) is (kind is FixtureKind.CONTROL)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_build_scripts_import_only_stdlib_modules(tmp_path, kind):
+    generate_fixture(kind, tmp_path / "src")
+    defect = script_imports(tmp_path / "src" / "build")
+    remediate_fixture(kind, tmp_path / "src")
+    repaired = script_imports(tmp_path / "src" / "build")
+    assert defect and repaired
+    assert defect | repaired <= sys.stdlib_module_names
