@@ -158,14 +158,18 @@ def _staging(given: str | None) -> contextlib.AbstractContextManager[str]:
 
 def _report_failed_builds(results, staging: str | None) -> None:
     """Keep each failed build's log, under ``--staging`` or else in a new
-    ``reprokit-logs-*`` directory, and name it on stderr."""
+    ``reprokit-logs-*`` directory, and name it on stderr. Whatever a build
+    left at the log's name is replaced, not followed."""
     import tempfile
+
+    from .runner import _create_log
 
     log_dir = Path(staging) if staging else Path(tempfile.mkdtemp(prefix="reprokit-logs-"))
     for slot, result in results:
         if result.exit_code != 0:
             log_path = log_dir / f"{slot}-build.log"
-            log_path.write_bytes(result.log)
+            with open(_create_log(log_path), "wb") as log_file:
+                log_file.write(result.log)
             print(
                 f"build failed under profile '{result.profile_name}' "
                 f"(exit {result.exit_code}); log: {log_path}",

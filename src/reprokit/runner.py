@@ -13,6 +13,7 @@ since both must see the same working path.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import fcntl
 import os
@@ -160,6 +161,11 @@ def _output_released(build: _Started) -> bool:
     return True
 
 
+def _exited(pid: int) -> bool:
+    """Whether the child ``pid`` has exited, leaving it unreaped."""
+    return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+
+
 def _time_out(build: _Started) -> None:
     """Kill ``build``'s whole process group, so helpers it forked die with it,
     and mark its log."""
@@ -206,7 +212,10 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
     it runs. One selector loop waits on every build's exit, through an exit
     descriptor where the OS offers one, so no build waits on another. A build
     ends once it has exited and no process holds its output open any more,
-    so helpers it leaves behind finish before its artifacts are checksummed.
+    so helpers it leaves behind finish before its artifacts are checksummed;
+    then what is left of its process group is killed, so no helper that let
+    go of the output writes later. A helper that called ``setsid()`` has left
+    the group and escapes.
     Each build's timeout counts from its own start. On any exception every
     started build's process group is killed and reaped before it propagates:
     in their own sessions the builds no longer get the terminal's Ctrl-C.
@@ -254,10 +263,13 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
                     key.data.exit_fd = None
                 now = time.monotonic()
                 for build in live:
-                    # Reaped only once its output is released, so until then
-                    # the process group keeps the build's id for a timeout.
-                    if _output_released(build) and build.proc.poll() is not None:
-                        build.exit_code = build.proc.returncode
+                    # Reaped only once its output is released and the helpers
+                    # it left are killed, so the group keeps the build's id.
+                    if _output_released(build) and _exited(build.proc.pid):
+                        # Systems differ on whether a group of zombies can be signalled.
+                        with contextlib.suppress(ProcessLookupError):
+                            os.killpg(build.proc.pid, signal.SIGKILL)
+                        build.exit_code = build.proc.wait()
                     elif build.deadline <= now:
                         _time_out(build)
                     else:

@@ -691,6 +691,33 @@ def test_attest_build_failure(tmp_path, capsys):
     assert "build failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slot", ["first", "second", "attest"])
+def test_kept_build_log_replaces_a_planted_symlink(tmp_path, capsys, slot):
+    # A failing build points the name its log will be kept under, one
+    # directory up in the staging root, at a file of the user's.
+    victim = tmp_path / "victim"
+    victim.write_text("precious\n")
+    src = make_tree(tmp_path, (
+        "import contextlib, os, sys\n"
+        "with contextlib.suppress(FileExistsError):  # the other build planted it\n"
+        f"    os.symlink({str(victim)!r}, '../{slot}-build.log')\n"
+        "print('attacker-controlled line')\n"
+        "sys.exit(1)\n"
+    ))
+    stage = tmp_path / "stage"
+    if slot == "attest":
+        args = ["attest", str(src), "--builder-id", "b-01", "--key", str(tmp_path / "k"),
+                "--generate-key", "--staging", str(stage)]
+    else:
+        args = ["check", str(src), "--staging", str(stage)]
+    assert cli.main(args) == 4
+    log = stage / f"{slot}-build.log"
+    assert f"log: {log}" in capsys.readouterr().err
+    assert victim.read_text() == "precious\n"
+    assert not log.is_symlink()
+    assert log.read_bytes() == b"attacker-controlled line\n"
+
+
 def test_attest_build_failure_without_staging_keeps_only_its_log(tmp_path, private_tmpdir, capsys):
     src = make_tree(tmp_path, "import sys\nprint('kaboom')\nsys.exit(7)\n")
     code = cli.main([

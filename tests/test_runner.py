@@ -185,6 +185,32 @@ def test_run_build_timeout_kills_the_process_group(tmp_path):
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_double_build_kills_helpers_left_behind(tmp_path):
+    # Each build exits at once and leaves a helper that has let go of the
+    # build's output; it must not outlive the build and write afterwards.
+    src = make_source(tmp_path, (
+        "import os, pathlib, time\n"
+        "pathlib.Path('out').mkdir()\n"
+        "pathlib.Path('out/a.txt').write_text('a')\n"
+        "helper = os.fork()\n"
+        "if helper == 0:\n"
+        "    null = os.open(os.devnull, os.O_RDWR)\n"
+        "    for fd in (0, 1, 2):\n"
+        "        os.dup2(null, fd)\n"
+        "    time.sleep(10)\n"
+        "    pathlib.Path('out/late.txt').write_text('late')\n"
+        "    os._exit(0)\n"
+        "pathlib.Path('pid').write_text(str(helper))\n"
+    ))
+    verdict = double_build(request(src), staging_root=tmp_path / "staging")
+    assert verdict.reproducible is True
+    workdirs = [r.artifacts.parent for r in (verdict.first, verdict.second)]
+    pids = [int((w / "pid").read_text()) for w in workdirs]
+    assert wait_dead(pids) == []
+    assert [sorted(os.listdir(w / "out")) for w in workdirs] == [["a.txt"]] * 2
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_run_build_interrupt_kills_the_process_group(tmp_path, monkeypatch):
     src = make_source(tmp_path, _FORKING_BUILD)
     req = request(src)
