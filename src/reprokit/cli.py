@@ -480,10 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ReproError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
+    except (ReproError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

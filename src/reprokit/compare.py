@@ -23,7 +23,7 @@ import operator
 import os
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import FormatError, ValidationError
@@ -338,11 +338,10 @@ def _compare_members(
         members_b = unpack(b, fmt, seen)
     except FormatError:
         return None
-    if fmt is Format.GZIP:
+    if fmt is Format.GZIP and members_a[0].name != members_b[0].name:
         # Single member per side; pair positionally even when names differ.
-        shared = members_a[0].name if members_a[0].name == members_b[0].name else "data"
-        members_a = [Member(name=shared, content=members_a[0].content, mtime=members_a[0].mtime)]
-        members_b = [Member(name=shared, content=members_b[0].content, mtime=members_b[0].mtime)]
+        members_a = [replace(members_a[0], name="data")]
+        members_b = [replace(members_b[0], name="data")]
     index_a = _index_members(members_a)
     index_b = _index_members(members_b)
     if index_a is None or index_b is None:
@@ -406,7 +405,7 @@ def compare_bytes(a: bytes, b: bytes, path: str = "artifact", depth: int = 0) ->
         return DiffNode(path=path, format=detect_format(a), status=Status.SAME, detail=None)
     fmt_a, fmt_b = detect_format(a), detect_format(b)
     fmt = fmt_a if fmt_a is fmt_b else Format.BINARY
-    if fmt_a is fmt_b and fmt_a in CONTAINERS:
+    if fmt in CONTAINERS:
         if depth > MAX_NESTING:
             return DiffNode(
                 path=path,
@@ -415,15 +414,14 @@ def compare_bytes(a: bytes, b: bytes, path: str = "artifact", depth: int = 0) ->
                 detail=byte_ranges(a, b),
                 depth_limited=True,
             )
-        node = _compare_members(a, b, fmt_a, path, depth)
+        node = _compare_members(a, b, fmt, path, depth)
         if node is not None:
             return node
-    if fmt_a is Format.TEXT and fmt_b is Format.TEXT:
+    if fmt is Format.TEXT:
         text = _text_diff(a, b)
         if text is not None:
             return DiffNode(path=path, format=Format.TEXT, status=Status.DIFFERS, detail=text)
-        # Same line content, different bytes (line endings, final newline).
-        fmt = Format.TEXT
+        # Same lines, different bytes (line endings, final newline): ranges.
     return DiffNode(
         path=path, format=fmt, status=Status.DIFFERS, detail=byte_ranges(a, b)
     )

@@ -240,12 +240,11 @@ def verdict(tally: ConsensusTally, local_sha256: str) -> Verdict:
     agreeing = tally.counts.get(local_sha256, 0)
     max_count = max(tally.counts.values())
     leaders = [digest for digest, n in tally.counts.items() if n == max_count]
-    if len(leaders) == 1 and max_count >= math.ceil(total / 2):
-        majority = leaders[0]
+    majority = leaders[0] if len(leaders) == 1 and max_count >= math.ceil(total / 2) else None
+    if majority is None:
+        decision = Decision.INCONCLUSIVE
+    else:
         decision = Decision.TRUSTED if local_sha256 == majority else Decision.REJECTED
-        return Verdict(
-            decision=decision, majority_checksum=majority, agreeing=agreeing, total=total
-        )
     return Verdict(
-        decision=Decision.INCONCLUSIVE, majority_checksum=None, agreeing=agreeing, total=total
+        decision=decision, majority_checksum=majority, agreeing=agreeing, total=total
     )

@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .classify import RootCause
 from .errors import FixtureError
-from .varenv import BuildRequest
+from .varenv import BuildRequest, read_settings
 
 
 class FixtureKind(enum.Enum):
@@ -449,13 +449,18 @@ def generate_fixture(kind: FixtureKind, dest: Path | str) -> BuildRequest:
 
 
 def remediate_fixture(kind: FixtureKind, dest: Path | str) -> None:
-    """Rewrite a previously generated fixture's build with its repair applied."""
+    """Rewrite a previously generated fixture's build, which must be of
+    ``kind``, with its repair applied."""
     definition = _FIXTURES.get(kind)
     if definition is None:
         raise FixtureError(f"unknown fixture kind: {kind!r}")
     dest = Path(dest)
     if not (dest / "build").is_file() or not (dest / "repro.meta").is_file():
         raise FixtureError(f"no generated fixture at {dest}")
+    settings = read_settings(dest / "repro.meta")
+    source = next((value for key, value, _ in settings if key == "source"), None)
+    if source != kind.value:
+        raise FixtureError(f"fixture at {dest} is {source!r}, not {kind.value!r}")
     build = definition.build
     for old, new in definition.repair:
         build = build.replace(old, new)

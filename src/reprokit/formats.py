@@ -581,6 +581,7 @@ def parse_zip_with_errors(
         is_dir = name.endswith("/")
         creator_unix = (version_made_by >> 8) == 3
 
+        decoded = method in (0, 8)
         if method == 0:
             content = raw
         elif method == 8:
@@ -591,20 +592,14 @@ def parse_zip_with_errors(
                 raise FormatError(f"corrupt deflate stream in {name}: {err}", data_start) from None
         else:
             errors.append(f"{name}: unsupported compression method {method}")
-            members.append(
-                Member(
-                    name=name, content=b"", mtime=mtime,
-                    mode=mode if creator_unix and mode else None, is_dir=is_dir,
-                )
-            )
-            continue
-        if not is_dir and zlib.crc32(content) != crc:
+            content = b""
+        if decoded and not is_dir and zlib.crc32(content) != crc:
             raise FormatError(f"CRC mismatch for member {name}", data_start)
         member = Member(
             name=name, content=content, mtime=mtime,
             mode=mode if creator_unix and mode else None, is_dir=is_dir,
         )
-        if seen is not None:
+        if decoded and seen is not None:
             seen[key] = member
         members.append(member)
     return members, errors

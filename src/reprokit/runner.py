@@ -166,13 +166,13 @@ def _exited(pid: int) -> bool:
     return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
 
 
-def _time_out(build: _Started) -> None:
-    """Kill ``build``'s whole process group, so helpers it forked die with it,
-    and mark its log."""
-    os.killpg(build.proc.pid, signal.SIGKILL)
-    build.proc.wait()
-    os.write(build.log_fd, b"\n[build timed out]\n")
-    build.exit_code = TIMEOUT_EXIT_CODE
+def _end(build: _Started) -> int:
+    """Kill what is left of ``build``'s process group, so helpers it forked
+    die with it, then reap its leader and return the leader's exit code."""
+    # Systems differ on whether a group of zombies can be signalled.
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(build.proc.pid, signal.SIGKILL)
+    return build.proc.wait()
 
 
 def _result(build: _Started, req: BuildRequest) -> BuildResult:
@@ -212,13 +212,14 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
     it runs. One selector loop waits on every build's exit, through an exit
     descriptor where the OS offers one, so no build waits on another. A build
     ends once it has exited and no process holds its output open any more,
-    so helpers it leaves behind finish before its artifacts are checksummed;
-    then what is left of its process group is killed, so no helper that let
-    go of the output writes later. A helper that called ``setsid()`` has left
-    the group and escapes.
+    so helpers it leaves behind finish before its artifacts are checksummed.
     Each build's timeout counts from its own start. On any exception every
-    started build's process group is killed and reaped before it propagates:
-    in their own sessions the builds no longer get the terminal's Ctrl-C.
+    started build is ended before it propagates: in their own sessions the
+    builds no longer get the terminal's Ctrl-C. However a build ends, what is
+    left of its process group is killed before its leader is reaped, even
+    where a group of zombies refuses the signal, so no helper that let go of
+    the output writes later. A helper that called ``setsid()`` has left the
+    group and escapes.
     """
     entries = [pb.workdir / req.build_entry for pb in pbs]
     for entry in entries:
@@ -266,12 +267,11 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
                     # Reaped only once its output is released and the helpers
                     # it left are killed, so the group keeps the build's id.
                     if _output_released(build) and _exited(build.proc.pid):
-                        # Systems differ on whether a group of zombies can be signalled.
-                        with contextlib.suppress(ProcessLookupError):
-                            os.killpg(build.proc.pid, signal.SIGKILL)
-                        build.exit_code = build.proc.wait()
+                        build.exit_code = _end(build)
                     elif build.deadline <= now:
-                        _time_out(build)
+                        _end(build)
+                        os.write(build.log_fd, b"\n[build timed out]\n")
+                        build.exit_code = TIMEOUT_EXIT_CODE
                     else:
                         continue
                     build.duration_ms = int((time.monotonic() - build.start) * 1000)
@@ -279,8 +279,7 @@ def run_builds(pbs: list[PreparedBuild], req: BuildRequest) -> list[BuildResult]
     except BaseException:
         for build in builds:
             if build.proc.returncode is None:
-                os.killpg(build.proc.pid, signal.SIGKILL)
-                build.proc.wait()
+                _end(build)
         raise
     finally:
         for fd in fds:

@@ -325,6 +325,15 @@ def test_validate_rejects_bad_sha256(sha256):
         )
 
 
+def test_validate_rejects_a_negative_size():
+    entry = ChecksumEntry(filename="a", size=-1, sha1="0" * 40, sha256="0" * 64)
+    with pytest.raises(ValidationError, match="^negative size for a$"):
+        make_attestation(
+            source="s", version="1", architecture="all",
+            checksums=[entry], depends=[], environment={}, builder_id="b",
+        )
+
+
 @pytest.mark.parametrize("name", ["", "Has-Upper", "-leading", "sp ace", "zlib\n"])
 def test_validate_rejects_bad_package_names(name):
     with pytest.raises(ValidationError):
@@ -473,6 +482,12 @@ def test_parse_rejects_malformed(mutate, needle):
 
 # Each malformed document and the line its ParseError names (None: the
 # document as a whole), with a fragment of the message.
+def test_parse_rejects_bytes_that_are_not_utf8():
+    data = serialize_buildinfo(small_attestation()).replace(b"Source: ", b"Source: \xff", 1)
+    with pytest.raises(ParseError, match="^not UTF-8: "):
+        parse_buildinfo(data)
+
+
 @pytest.mark.parametrize(
     "lineno,text,line,needle",
     [

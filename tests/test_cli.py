@@ -114,6 +114,40 @@ def test_check_reports_are_deterministic(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_check_html_reports_are_deterministic(tmp_path):
+    generate_fixture(FixtureKind.TIMESTAMP, tmp_path / "src")
+    reports = []
+    for run in ("one", "two"):
+        report = tmp_path / f"report-{run}.html"
+        code = cli.main([
+            "check", str(tmp_path / "src"),
+            "--staging", str(tmp_path / f"stage-{run}"),
+            "--report", str(report), "--format", "html",
+        ])
+        assert code == 1
+        reports.append(report.read_text(encoding="utf-8"))
+    assert reports[0] == reports[1]
+    assert re.findall(r"<h2>([^<]*)</h2>", reports[0]) == ["tool.txt", "findings"]
+    assert "<tr><td>timestamp</td><td>tool.txt</td>" in reports[0]
+
+
+def test_check_text_report_names_an_artifact_one_build_missed(tmp_path):
+    src = make_tree(tmp_path, (
+        "import os, pathlib\n"
+        "pathlib.Path('out').mkdir()\n"
+        "pathlib.Path('out/a.txt').write_text('a')\n"
+        "if 'SOURCE_DATE_EPOCH' in os.environ:\n"
+        "    pathlib.Path('out/extra.txt').write_text('e')\n"
+    ))
+    report = tmp_path / "report.txt"
+    code = cli.main(["check", str(src), "--staging", str(tmp_path / "stage"),
+                     "--report", str(report)])
+    assert code == 1
+    assert report.read_text().splitlines()[:2] == [
+        "verdict: unreproducible", "missing from second build: extra.txt",
+    ]
+
+
 def test_check_missing_meta_is_usage_error(tmp_path, capsys):
     (tmp_path / "src").mkdir()
     code = cli.main(["check", str(tmp_path / "src")])
@@ -840,6 +874,17 @@ def test_fixtures_cli_errors(tmp_path, capsys):
     assert cli.main(["fixtures", "generate", "--kind", "timestamp", "--all",
                      "--dest", str(tmp_path / "y")]) == 3
     assert cli.main(["fixtures", "generate", "--dest", str(tmp_path / "z")]) == 3
+
+
+def test_fixtures_remediate_refuses_another_kinds_fixture(tmp_path, capsys):
+    dest = tmp_path / "fx"
+    assert cli.main(["fixtures", "generate", "--kind", "timestamp", "--dest", str(dest)]) == 0
+    before = (dest / "build").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["fixtures", "remediate", "--kind", "randomness", "--dest", str(dest)]) == 3
+    err = capsys.readouterr().err
+    assert "'timestamp'" in err and "'randomness'" in err
+    assert (dest / "build").read_bytes() == before
 
 
 def test_usage_errors(capsys):

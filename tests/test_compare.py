@@ -924,6 +924,28 @@ def test_render_text_and_html_show_the_ordering_summary():
     assert '<td class="add">+usr/share/f199</td>' in page
 
 
+def _nested_gzip_pair(levels: int) -> tuple[bytes, bytes]:
+    a = write_tar([Member(name="f", content=b"a\n")])
+    b = write_tar([Member(name="f", content=b"b\n")])
+    for _ in range(levels):
+        a, b = write_gzip(a, mtime=0), write_gzip(b, mtime=0)
+    return a, b
+
+
+@pytest.mark.parametrize("pair,style,needle", [
+    (_nested_gzip_pair(MAX_NESTING + 1), ReportStyle.TEXT, "[tar] differs (depth limit reached)\n"),
+    (_nested_gzip_pair(MAX_NESTING + 1), ReportStyle.HTML,
+     '<span class="flag">depth limit reached</span>'),
+    (_nested_gzip_pair(MAX_NESTING + 1), ReportStyle.JSON, '"depth_limited": true'),
+    ((b"x\none\ny\n", b"x\ntwo\ny\n"), ReportStyle.HTML,
+     '<tr><td class="ctx"> x</td><td class="ctx"> x</td></tr>'),
+    ((b"\x00" * 16 + b"!", b"\xcd" * 16 + b"!"), ReportStyle.TEXT, "; first side all zeros\n"),
+], ids=["depth-limit-text", "depth-limit-html", "depth-limit-json", "html-context-row",
+        "first-side-zeros"])
+def test_render_shows(pair, style, needle):
+    assert needle in render_report(compare_bytes(*pair), style).decode()
+
+
 def test_render_html_page():
     out = render_report(compare_bytes(b"a\n", b"b\n"), ReportStyle.HTML)
     assert out.startswith(b"<!DOCTYPE html>")

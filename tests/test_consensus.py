@@ -291,6 +291,30 @@ def test_submit_and_load_give_the_same_reason_for_a_forged_entry(store, forgery,
     assert str(loaded.value) == f"corrupt store entry rebuilder-01.buildinfo.signed: {reason}"
 
 
+def test_submit_and_load_refuse_an_unparseable_body(store):
+    import dataclasses
+
+    private_key, public_key = generate_signing_key()
+    store.register_builder("rebuilder-01", public_key)
+    sa = signed_attestation("rebuilder-01", private_key, {"pkg.deb": H_GOOD})
+    junk = dataclasses.replace(sa, body=b"not a buildinfo\n")
+    with pytest.raises(StoreError, match="^rejected: unparseable attestation body: "):
+        store.submit(junk)
+    group = store.root / "att" / "demo_1.0_all"
+    group.mkdir(parents=True)
+    (group / "rebuilder-01.buildinfo.signed").write_bytes(b"not signed\n")
+    with pytest.raises(StoreError, match="^corrupt store entry rebuilder-01.buildinfo.signed: "):
+        store.load("demo", "1.0", "all")
+
+
+def test_load_skips_files_that_are_not_signed_entries(store):
+    private_key, public_key = generate_signing_key()
+    store.register_builder("rebuilder-01", public_key)
+    store.submit(signed_attestation("rebuilder-01", private_key, {"pkg.deb": H_GOOD}))
+    (store.root / "att" / "demo_1.0_all" / "rebuilder-02.buildinfo").write_bytes(b"junk\n")
+    assert [b for b, _ in store.load("demo", "1.0", "all")] == ["rebuilder-01"]
+
+
 def test_load_empty_and_unknown_release(store):
     assert store.load("demo", "1.0", "all") == []
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import functools
 import os
 import selectors
+import shutil
+import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -250,6 +254,60 @@ def test_double_build_interrupt_kills_both_process_groups(tmp_path, monkeypatch)
     pids = [int(p) for f in pid_files for p in f.read_text().split()]
     assert len(pids) == 4
     assert wait_dead(pids) == []
+
+
+def _leader_exited(pid: int) -> bool:
+    try:
+        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+    except ChildProcessError:
+        return True
+
+
+def test_interrupt_kills_every_build_where_a_zombie_group_refuses_the_signal(
+    tmp_path, monkeypatch
+):
+    # The baseline build exits at once and is interrupted before it is
+    # reaped; the divergent one is still running. On a system where a group
+    # of zombies cannot be signalled, the refusal for the first build must
+    # neither replace the interrupt nor spare the second build.
+    src = make_source(tmp_path, (
+        "import os, sys\n"
+        "if 'SOURCE_DATE_EPOCH' in os.environ:\n"
+        "    sys.exit(0)\n"
+        f"os.execv({shutil.which('sleep')!r}, ['sleep', '30'])\n"
+    ))
+    started: list[subprocess.Popen] = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    def interrupted(self, timeout=None):
+        deadline = time.monotonic() + 10
+        while not _leader_exited(started[0].pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    real_killpg = os.killpg
+
+    def killpg_refusing_zombie_groups(pgid, sig):
+        if _leader_exited(pgid):
+            raise ProcessLookupError(errno.ESRCH, os.strerror(errno.ESRCH))
+        real_killpg(pgid, sig)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(selectors.DefaultSelector, "select", interrupted)
+    monkeypatch.setattr(os, "killpg", killpg_refusing_zombie_groups)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            double_build(request(src), staging_root=tmp_path / "staging")
+        assert [p.returncode for p in started] == [0, -signal.SIGKILL]
+    finally:
+        for proc in started:
+            if proc.poll() is None:
+                real_killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
@@ -608,6 +666,16 @@ def test_double_build_same_profile_shares_the_workdir_path(tmp_path):
     assert parked.is_dir() and live.is_dir()
     assert (parked / "out" / "where.txt").read_text() == (live / "out" / "where.txt").read_text()
     assert verdict.first.artifacts == parked / "out"
+
+
+def test_double_build_same_profile_refuses_a_taken_parking_place(tmp_path):
+    src = make_source(tmp_path, "import pathlib\npathlib.Path('out').mkdir()\n")
+    profile = default_profiles()[0]
+    parked = tmp_path / "staging" / (profile.build_path_component + ".first")
+    parked.mkdir(parents=True)
+    with pytest.raises(ValidationError, match="^staging collision: "):
+        double_build(request(src), profiles=(profile, profile), staging_root=tmp_path / "staging")
+    assert list(parked.iterdir()) == []
 
 
 def test_double_build_validates_request(tmp_path):

@@ -212,6 +212,7 @@ def test_load_profile_source_date_epoch_optional(tmp_path):
         ("umask = 022", "umask = 09"),          # not octal
         ("fs_ordering = forward", "fs_ordering = sideways"),
         ("hostname = h", "hostname = h\nextra_knob = 1"),
+        ("hostname = h", "hostname = h\nhostname = i"),  # duplicate knob
         ("clock_skew_seconds = 0", "clock_skew_seconds = soon"),
         ("umask = 022", "umask = -1"),          # out of range
         ("umask = 022", "umask = 17777"),
